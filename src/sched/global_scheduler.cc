@@ -15,7 +15,8 @@ GlobalScheduler::GlobalScheduler(Simulator &sim,
                                  Network *net)
     : _sim(sim), _servers(std::move(servers)),
       _policy(std::move(policy)), _config(config), _net(net),
-      _eligible(_servers.size(), true), _oneShots(sim, "sched.retry")
+      _eligible(_servers.size(), true), _numEligible(_servers.size()),
+      _oneShots(sim, "sched.retry")
 {
     if (_servers.empty())
         fatal("global scheduler needs at least one server");
@@ -62,29 +63,28 @@ GlobalScheduler::setTaskRouter(TaskRouteFn router, TaskClosedFn closed)
 void
 GlobalScheduler::resumeTask(JobId job, TaskId t)
 {
-    auto it = _jobs.find(job);
-    if (it == _jobs.end())
+    RuntimeJob *rt = findJob(job);
+    if (!rt)
         return; // job finished or abandoned while deferred
-    RuntimeJob &rt = it->second;
-    if (t >= rt.state.size() || rt.state[t] != TaskState::deferred)
+    if (t >= rt->tasks.size() ||
+        rt->tasks[t].state != TaskState::deferred) {
         return;
+    }
     --_deferredCount;
-    taskReady(rt, t);
+    taskReady(*rt, t);
 }
 
 void
 GlobalScheduler::setEligible(std::size_t idx, bool eligible)
 {
-    if (_eligible.at(idx) != eligible)
-        invalidateCandidateCache();
-    _eligible.at(idx) = eligible;
-}
-
-std::size_t
-GlobalScheduler::numEligible() const
-{
-    return static_cast<std::size_t>(
-        std::count(_eligible.begin(), _eligible.end(), true));
+    if (_eligible.at(idx) == eligible)
+        return;
+    invalidateCandidateCache();
+    _eligible[idx] = eligible;
+    if (eligible)
+        ++_numEligible;
+    else
+        --_numEligible;
 }
 
 double
@@ -108,8 +108,8 @@ GlobalScheduler::taskCensus() const
     c.created = _tasksCreated;
     c.finished = _tasksFinished;
     c.aborted = _tasksAborted;
-    for (const auto &[id, rt] : _jobs)
-        c.live += rt.remaining;
+    for (const RuntimeJob &rt : _slab)
+        c.live += rt.remaining; // 0 in free slots
     return c;
 }
 
@@ -133,7 +133,7 @@ GlobalScheduler::makeRef(const RuntimeJob &rt, TaskId t) const
     // Routed placements may inflate the service time (co-location
     // interference, remote-memory latency). The exact-1.0 test keeps
     // the unrouted path bit-identical to a build without routing.
-    double scale = rt.serviceScale.empty() ? 1.0 : rt.serviceScale[t];
+    double scale = rt.tasks[t].serviceScale;
     if (scale != 1.0) {
         ref.serviceTime = static_cast<Tick>(std::llround(
             static_cast<double>(spec.serviceTime) * scale));
@@ -168,54 +168,74 @@ GlobalScheduler::submitJob(Job job)
                     "j" + std::to_string(id) + ".submit",
                     _sim.curTick());
     }
-    RuntimeJob rt{std::move(job), {}, {}, {}, {}, {}, {}, 0};
+    const std::uint32_t slot =
+        _freeSlots.empty() ? static_cast<std::uint32_t>(_slab.size())
+                           : _freeSlots.back();
+    if (!_jobIndex.emplace(id, slot).second)
+        fatal("duplicate job id ", id);
+    if (slot == _slab.size())
+        _slab.emplace_back().slot = slot;
+    else
+        _freeSlots.pop_back();
+    RuntimeJob &rt = _slab[slot];
+    rt.job = std::move(job);
     const std::size_t n = rt.job.numTasks();
-    rt.pendingParents.resize(n);
-    rt.pendingTransfers.assign(n, 0);
-    rt.taskServer.assign(n, -1);
-    rt.state.assign(n, TaskState::waiting);
-    rt.attempts.assign(n, 0);
-    rt.serviceScale.assign(n, 1.0);
+    rt.tasks.assign(n, TaskRecord{});
+    for (TaskId t = 0; t < n; ++t)
+        rt.tasks[t].pendingParents =
+            static_cast<std::uint32_t>(rt.job.parents(t).size());
     rt.remaining = n;
     _tasksCreated += n;
-    for (TaskId t = 0; t < n; ++t)
-        rt.pendingParents[t] =
-            static_cast<std::uint32_t>(rt.job.parents(t).size());
 
-    auto [it, inserted] = _jobs.emplace(id, std::move(rt));
-    if (!inserted)
-        fatal("duplicate job id ", id);
-    RuntimeJob &stored = it->second;
-    // Roots are ready immediately. Copy the list: taskReady may
-    // complete zero-task transfers synchronously.
-    std::vector<TaskId> roots = stored.job.rootTasks();
-    for (TaskId t : roots)
-        taskReady(stored, t);
+    // Roots are ready immediately. A root's dispatch can abandon the
+    // job (retry exhaustion), so stop once the slot changes hands.
+    const std::uint32_t gen = rt.generation;
+    const std::vector<TaskId> &roots = rt.job.rootTasks();
+    for (std::size_t i = 0; rt.generation == gen && i < roots.size(); ++i)
+        taskReady(rt, roots[i]);
     notifyLoadChanged();
 }
 
-std::vector<std::size_t>
-GlobalScheduler::candidatesFor(int type, bool need_capacity) const
+GlobalScheduler::RuntimeJob *
+GlobalScheduler::findJob(JobId id)
 {
-    if (!need_capacity) {
-        // Load-independent: cache per type, invalidated whenever
-        // eligibility changes. Keeps dispatch O(1) amortized even
-        // for >20K-server fleets (the Table I scalability claim).
-        auto it = _candidateCache.find(type);
-        if (it != _candidateCache.end())
-            return it->second;
-        std::vector<std::size_t> out;
-        for (std::size_t i = 0; i < _servers.size(); ++i) {
-            // Crashed servers drop out of the cached lists too; the
-            // fault hooks invalidate the cache on every transition.
-            if (_eligible[i] && !_servers[i]->failed() &&
-                _servers[i]->servesType(type)) {
-                out.push_back(i);
-            }
+    auto it = _jobIndex.find(id);
+    return it == _jobIndex.end() ? nullptr : &_slab[it->second];
+}
+
+void
+GlobalScheduler::releaseJob(RuntimeJob &rt)
+{
+    _jobIndex.erase(rt.job.id());
+    rt.remaining = 0;
+    ++rt.generation;
+    _freeSlots.push_back(rt.slot);
+}
+
+const std::vector<std::size_t> &
+GlobalScheduler::candidatesFor(int type) const
+{
+    // Load-independent: cache per type, invalidated whenever
+    // eligibility changes. Keeps dispatch O(1) amortized even for
+    // >20K-server fleets (the Table I scalability claim).
+    auto it = _candidateCache.find(type);
+    if (it != _candidateCache.end())
+        return it->second;
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < _servers.size(); ++i) {
+        // Crashed servers drop out of the cached lists too; the
+        // fault hooks invalidate the cache on every transition.
+        if (_eligible[i] && !_servers[i]->failed() &&
+            _servers[i]->servesType(type)) {
+            out.push_back(i);
         }
-        return _candidateCache.emplace(type, std::move(out))
-            .first->second;
     }
+    return _candidateCache.emplace(type, std::move(out)).first->second;
+}
+
+std::vector<std::size_t>
+GlobalScheduler::freeCandidatesFor(int type) const
+{
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < _servers.size(); ++i) {
         if (!_eligible[i] || _servers[i]->failed() ||
@@ -236,10 +256,10 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
         // Orchestration routing: tagged tasks go to a container
         // replica (or wait for one); untagged tasks fall through to
         // the normal dispatch path below.
-        rt.serviceScale[t] = 1.0;
+        rt.tasks[t].serviceScale = 1.0;
         TaskRoute route = _router(makeRef(rt, t));
         if (route.action == TaskRoute::Action::defer) {
-            rt.state[t] = TaskState::deferred;
+            rt.tasks[t].state = TaskState::deferred;
             ++_deferredCount;
             return;
         }
@@ -247,14 +267,14 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
             if (route.server >= _servers.size())
                 HOLDCSIM_PANIC("task routed to unknown server ",
                                route.server);
-            rt.serviceScale[t] = route.serviceScale;
+            rt.tasks[t].serviceScale = route.serviceScale;
             if (_servers[route.server]->failed()) {
                 // The replica's host crashed under us. Burn an
                 // attempt and back off; by the redispatch the
                 // orchestrator has rescheduled the container.
                 if (_retryEnabled) {
-                    ++rt.attempts[t];
-                    taskAttemptFailed(rt.job.id(), t);
+                    ++rt.tasks[t].attempts;
+                    taskAttemptFailed(rt, t);
                     return;
                 }
                 fatal("task routed to failed server ", route.server);
@@ -265,59 +285,62 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
     }
 
     TaskRef ref = makeRef(rt, t);
+    std::optional<std::size_t> parent;
+    if (!rt.job.parents(t).empty())
+        parent = static_cast<std::size_t>(
+            rt.tasks[rt.job.parents(t)[0]].server);
     if (_config.useGlobalQueue) {
         // Pull model: only dispatch when a free execution unit
         // exists; otherwise park the task centrally.
-        auto candidates = candidatesFor(ref.type, true);
+        auto candidates = freeCandidatesFor(ref.type);
         if (candidates.empty()) {
-            rt.state[t] = TaskState::queued;
+            rt.tasks[t].state = TaskState::queued;
             _globalQueue.push_back(QueuedTask{rt.job.id(), t});
             return;
         }
-        std::optional<std::size_t> parent;
-        if (!rt.job.parents(t).empty())
-            parent = static_cast<std::size_t>(
-                rt.taskServer[rt.job.parents(t)[0]]);
         std::size_t target = _policy->pick(candidates, _servers,
                                            DispatchContext{ref, parent});
         assignTask(rt, t, target);
         return;
     }
 
-    auto candidates = candidatesFor(ref.type, false);
-    std::optional<std::size_t> parent;
-    if (!rt.job.parents(t).empty())
-        parent = static_cast<std::size_t>(
-            rt.taskServer[rt.job.parents(t)[0]]);
-    if (_config.antiAffinity && parent && candidates.size() > 1) {
-        candidates.erase(std::remove(candidates.begin(),
-                                     candidates.end(), *parent),
-                         candidates.end());
+    // Pick straight from the cached list; copy it only where a
+    // filter must drop servers from it.
+    const std::vector<std::size_t> *candidates = &candidatesFor(ref.type);
+    std::vector<std::size_t> filtered;
+    if (_config.antiAffinity && parent && candidates->size() > 1 &&
+        std::binary_search(candidates->begin(), candidates->end(),
+                           *parent)) {
+        filtered = *candidates;
+        filtered.erase(
+            std::find(filtered.begin(), filtered.end(), *parent));
+        candidates = &filtered;
     }
-    if (candidates.empty()) {
+    if (candidates->empty()) {
         // Eligibility filtered everything out: fall back to any
         // healthy type-capable server rather than deadlock.
         for (std::size_t i = 0; i < _servers.size(); ++i) {
             if (!_servers[i]->failed() &&
                 _servers[i]->servesType(ref.type)) {
-                candidates.push_back(i);
+                filtered.push_back(i);
             }
         }
-        if (candidates.empty()) {
+        if (filtered.empty()) {
             if (_retryEnabled) {
                 // Every capable server is down. Burn an attempt and
                 // back off; a permanently dead fleet then fails the
                 // job instead of spinning or crashing the sim.
-                ++rt.attempts[t];
-                taskAttemptFailed(rt.job.id(), t);
+                ++rt.tasks[t].attempts;
+                taskAttemptFailed(rt, t);
                 return;
             }
             fatal("no server can serve task type ", ref.type);
         }
         warn("no eligible server for task type ", ref.type,
              "; dispatching to an ineligible one");
+        candidates = &filtered;
     }
-    std::size_t target = _policy->pick(candidates, _servers,
+    std::size_t target = _policy->pick(*candidates, _servers,
                                        DispatchContext{ref, parent});
     assignTask(rt, t, target);
 }
@@ -326,8 +349,9 @@ void
 GlobalScheduler::assignTask(RuntimeJob &rt, TaskId t,
                             std::size_t server)
 {
-    rt.taskServer[t] = static_cast<std::int64_t>(server);
-    ++rt.attempts[t];
+    TaskRecord &rec = rt.tasks[t];
+    rec.server = static_cast<std::int64_t>(server);
+    ++rec.attempts;
     if (TraceManager *tr = taskTracer()) {
         tr->instant(_traceTrack, TraceCategory::task,
                     taskName(rt.job.id(), t) + ".dispatch.sv" +
@@ -335,59 +359,62 @@ GlobalScheduler::assignTask(RuntimeJob &rt, TaskId t,
                     _sim.curTick());
     }
     // Ship each parent's result over the fabric; the task launches
-    // when the last transfer lands. Callbacks carry the attempt
-    // number so leftovers from a superseded attempt are inert.
+    // when the last transfer lands. Callbacks carry the slot
+    // generation and attempt number, so leftovers from a finished
+    // job or a superseded attempt are inert.
     if (_net) {
         JobId id = rt.job.id();
-        std::uint32_t epoch = rt.attempts[t];
+        std::uint32_t slot = rt.slot;
+        std::uint32_t gen = rt.generation;
+        std::uint32_t epoch = rec.attempts;
         unsigned transfers = 0;
         for (TaskId p : rt.job.parents(t)) {
             Bytes bytes = rt.job.edgeBytes(p, t);
-            auto src = static_cast<std::size_t>(rt.taskServer[p]);
+            auto src = static_cast<std::size_t>(rt.tasks[p].server);
             if (src == server || bytes == 0)
                 continue;
             ++transfers;
         }
         if (transfers > 0) {
-            rt.state[t] = TaskState::transferring;
-            rt.pendingTransfers[t] = transfers;
+            rec.state = TaskState::transferring;
+            rec.pendingTransfers = transfers;
             for (TaskId p : rt.job.parents(t)) {
                 Bytes bytes = rt.job.edgeBytes(p, t);
-                auto src = static_cast<std::size_t>(rt.taskServer[p]);
+                auto src = static_cast<std::size_t>(rt.tasks[p].server);
                 if (src == server || bytes == 0)
                     continue;
                 ++_transfersStarted;
                 _net->startFlow(
                     src, server, bytes,
-                    [this, id, t, epoch] {
-                        auto it = _jobs.find(id);
-                        if (it == _jobs.end()) {
+                    [this, id, slot, gen, t, epoch] {
+                        RuntimeJob *rj = liveJob(slot, gen);
+                        if (!rj) {
                             if (_failedJobs.count(id))
                                 return; // job abandoned meanwhile
                             HOLDCSIM_PANIC("transfer for finished job ",
                                            id);
                         }
-                        RuntimeJob &rj = it->second;
-                        if (rj.attempts[t] != epoch ||
-                            rj.state[t] != TaskState::transferring) {
+                        TaskRecord &r = rj->tasks[t];
+                        if (r.attempts != epoch ||
+                            r.state != TaskState::transferring) {
                             return; // attempt superseded
                         }
-                        if (--rj.pendingTransfers[t] == 0)
-                            launchTask(rj, t);
+                        if (--r.pendingTransfers == 0)
+                            launchTask(*rj, t);
                     },
-                    [this, id, t, epoch] {
+                    [this, slot, gen, t, epoch] {
                         // A fault severed this transfer: retry the
                         // whole placement (results must re-ship).
-                        auto it = _jobs.find(id);
-                        if (it == _jobs.end())
+                        RuntimeJob *rj = liveJob(slot, gen);
+                        if (!rj)
                             return;
-                        RuntimeJob &rj = it->second;
-                        if (rj.attempts[t] != epoch ||
-                            rj.state[t] != TaskState::transferring) {
+                        const TaskRecord &r = rj->tasks[t];
+                        if (r.attempts != epoch ||
+                            r.state != TaskState::transferring) {
                             return;
                         }
                         ++_transfersAborted;
-                        taskAttemptFailed(id, t);
+                        taskAttemptFailed(*rj, t);
                     });
             }
             return;
@@ -399,13 +426,13 @@ GlobalScheduler::assignTask(RuntimeJob &rt, TaskId t,
 void
 GlobalScheduler::launchTask(RuntimeJob &rt, TaskId t)
 {
-    auto server = static_cast<std::size_t>(rt.taskServer[t]);
+    auto server = static_cast<std::size_t>(rt.tasks[t].server);
     if (_servers[server]->failed()) {
         // The target crashed while transfers were in flight.
-        taskAttemptFailed(rt.job.id(), t);
+        taskAttemptFailed(rt, t);
         return;
     }
-    rt.state[t] = TaskState::running;
+    rt.tasks[t].state = TaskState::running;
     ++_tasksDispatched;
     if (TraceManager *tr = taskTracer()) {
         tr->asyncBegin(_traceTrack, TraceCategory::task,
@@ -421,44 +448,41 @@ GlobalScheduler::armTaskTimeout(RuntimeJob &rt, TaskId t)
 {
     if (!_retryEnabled || _retry.taskTimeout == 0)
         return;
-    JobId id = rt.job.id();
-    std::uint32_t epoch = rt.attempts[t];
-    _oneShots.schedule(_retry.taskTimeout, [this, id, t, epoch] {
-        auto it = _jobs.find(id);
-        if (it == _jobs.end())
+    std::uint32_t slot = rt.slot;
+    std::uint32_t gen = rt.generation;
+    std::uint32_t epoch = rt.tasks[t].attempts;
+    _oneShots.schedule(_retry.taskTimeout, [this, slot, gen, t, epoch] {
+        RuntimeJob *rj = liveJob(slot, gen);
+        if (!rj)
             return;
-        RuntimeJob &rj = it->second;
-        if (rj.attempts[t] != epoch ||
-            rj.state[t] != TaskState::running) {
+        const TaskRecord &r = rj->tasks[t];
+        if (r.attempts != epoch || r.state != TaskState::running)
             return; // completed or already retried
-        }
         ++_taskTimeouts;
-        auto srv = static_cast<std::size_t>(rj.taskServer[t]);
+        auto srv = static_cast<std::size_t>(r.server);
         if (!_servers[srv]->failed())
-            _servers[srv]->cancelTask(id, t);
-        taskAttemptFailed(id, t);
+            _servers[srv]->cancelTask(rj->job.id(), t);
+        taskAttemptFailed(*rj, t);
     });
 }
 
 void
-GlobalScheduler::taskAttemptFailed(JobId job, TaskId t)
+GlobalScheduler::taskAttemptFailed(RuntimeJob &rt, TaskId t)
 {
-    auto it = _jobs.find(job);
-    if (it == _jobs.end())
-        return; // job finished or already abandoned
-    RuntimeJob &rt = it->second;
-    if (rt.state[t] == TaskState::done)
+    TaskRecord &rec = rt.tasks[t];
+    if (rec.state == TaskState::done)
         return;
-    if (!_retryEnabled || rt.attempts[t] >= _retry.maxAttempts) {
-        failJob(job); // closes any open task spans
+    if (!_retryEnabled || rec.attempts >= _retry.maxAttempts) {
+        failJob(rt); // closes any open task spans
         return;
     }
+    JobId job = rt.job.id();
     // The routed attempt died; the retry re-routes from scratch.
     if (_taskClosed)
         _taskClosed(job, t, false);
     ++_taskRetries;
     if (TraceManager *tr = taskTracer()) {
-        if (rt.state[t] == TaskState::running) {
+        if (rec.state == TaskState::running) {
             // Close the attempt's span: it died instead of completing.
             tr->asyncEnd(_traceTrack, TraceCategory::task,
                          taskName(job, t), taskSpanId(job, t),
@@ -467,51 +491,48 @@ GlobalScheduler::taskAttemptFailed(JobId job, TaskId t)
         tr->instant(_traceTrack, TraceCategory::task,
                     taskName(job, t) + ".retry", _sim.curTick());
     }
-    rt.state[t] = TaskState::backoff;
-    rt.pendingTransfers[t] = 0;
-    std::uint32_t epoch = rt.attempts[t];
-    Tick delay = _retry.backoff(rt.attempts[t], _retryJitter);
-    _oneShots.schedule(delay, [this, job, t, epoch] {
-        auto jit = _jobs.find(job);
-        if (jit == _jobs.end())
+    rec.state = TaskState::backoff;
+    rec.pendingTransfers = 0;
+    std::uint32_t slot = rt.slot;
+    std::uint32_t gen = rt.generation;
+    std::uint32_t epoch = rec.attempts;
+    Tick delay = _retry.backoff(rec.attempts, _retryJitter);
+    _oneShots.schedule(delay, [this, slot, gen, t, epoch] {
+        RuntimeJob *rj = liveJob(slot, gen);
+        if (!rj)
             return;
-        RuntimeJob &rj = jit->second;
-        if (rj.attempts[t] != epoch ||
-            rj.state[t] != TaskState::backoff) {
+        const TaskRecord &r = rj->tasks[t];
+        if (r.attempts != epoch || r.state != TaskState::backoff)
             return;
-        }
-        taskReady(rj, t);
+        taskReady(*rj, t);
     });
 }
 
 void
-GlobalScheduler::failJob(JobId job)
+GlobalScheduler::failJob(RuntimeJob &rt)
 {
-    auto it = _jobs.find(job);
-    if (it == _jobs.end())
-        return;
-    RuntimeJob &rt = it->second;
+    JobId job = rt.job.id();
     ++_jobsFailedCount;
     // Every not-yet-done task of the job is abandoned with it.
     _tasksAborted += rt.remaining;
     // Tell the orchestration router every live task is gone
     // (receivers ignore tasks they never routed).
     for (TaskId t = 0; t < rt.job.numTasks(); ++t) {
-        if (rt.state[t] == TaskState::deferred)
+        if (rt.tasks[t].state == TaskState::deferred)
             --_deferredCount;
-        if (_taskClosed && rt.state[t] != TaskState::done)
+        if (_taskClosed && rt.tasks[t].state != TaskState::done)
             _taskClosed(job, t, false);
     }
     // Cancel every sibling still holding resources.
     for (TaskId t = 0; t < rt.job.numTasks(); ++t) {
-        if (rt.state[t] != TaskState::running)
+        if (rt.tasks[t].state != TaskState::running)
             continue;
         if (TraceManager *tr = taskTracer()) {
             tr->asyncEnd(_traceTrack, TraceCategory::task,
                          taskName(job, t), taskSpanId(job, t),
                          _sim.curTick());
         }
-        auto srv = static_cast<std::size_t>(rt.taskServer[t]);
+        auto srv = static_cast<std::size_t>(rt.tasks[t].server);
         if (!_servers[srv]->failed())
             _servers[srv]->cancelTask(job, t);
     }
@@ -523,7 +544,7 @@ GlobalScheduler::failJob(JobId job)
                        }),
         _globalQueue.end());
     _failedJobs.insert(job);
-    _jobs.erase(it);
+    releaseJob(rt);
     if (TraceManager *tr = taskTracer()) {
         tr->instant(_traceTrack, TraceCategory::task,
                     "j" + std::to_string(job) + ".failed",
@@ -544,8 +565,11 @@ GlobalScheduler::onServerFailed(std::size_t idx,
         debugInjectTaskLeak();
     }
     invalidateCandidateCache();
-    for (const TaskRef &ref : killed)
-        taskAttemptFailed(ref.job, ref.task);
+    for (const TaskRef &ref : killed) {
+        // Skip jobs that an earlier kill already abandoned.
+        if (RuntimeJob *rt = findJob(ref.job))
+            taskAttemptFailed(*rt, ref.task);
+    }
     notifyLoadChanged();
 }
 
@@ -561,17 +585,17 @@ GlobalScheduler::onServerRepaired(std::size_t idx)
 void
 GlobalScheduler::onTaskDone(Server &server, const TaskRef &task)
 {
-    auto it = _jobs.find(task.job);
-    if (it == _jobs.end()) {
+    RuntimeJob *found = findJob(task.job);
+    if (!found) {
         if (_failedJobs.count(task.job))
             return; // straggler of an abandoned job
         HOLDCSIM_PANIC("completion for unknown job ", task.job);
     }
-    RuntimeJob &rt = it->second;
-    if (rt.state[task.task] == TaskState::done)
+    RuntimeJob &rt = *found;
+    if (rt.tasks[task.task].state == TaskState::done)
         HOLDCSIM_PANIC("job ", task.job, " task ", task.task,
                        " completed twice");
-    rt.state[task.task] = TaskState::done;
+    rt.tasks[task.task].state = TaskState::done;
     if (TraceManager *tr = taskTracer()) {
         tr->asyncEnd(_traceTrack, TraceCategory::task,
                      taskName(task.job, task.task),
@@ -587,20 +611,24 @@ GlobalScheduler::onTaskDone(Server &server, const TaskRef &task)
     if (_taskClosed)
         _taskClosed(task.job, task.task, true);
 
-    // Wake children whose last parent just finished.
-    for (TaskId child : rt.job.children(task.task)) {
-        if (--rt.pendingParents[child] == 0)
-            taskReady(rt, child);
+    // Wake children whose last parent just finished. A child's
+    // dispatch can abandon the job, so stop once the slot changes
+    // hands.
+    const std::uint32_t gen = rt.generation;
+    const std::vector<TaskId> &children = rt.job.children(task.task);
+    for (std::size_t i = 0; rt.generation == gen && i < children.size();
+         ++i) {
+        if (--rt.tasks[children[i]].pendingParents == 0)
+            taskReady(rt, children[i]);
     }
 
-    if (rt.remaining == 0) {
+    if (rt.generation == gen && rt.remaining == 0) {
         Tick latency = _sim.curTick() - rt.job.arrivalTick();
         ++_jobsCompleted;
         _jobLatency.sample(toSeconds(latency));
-        JobId id = task.job;
-        _jobs.erase(it);
+        releaseJob(rt);
         if (_jobDone)
-            _jobDone(id, latency);
+            _jobDone(task.job, latency);
     }
 
     if (_config.useGlobalQueue)
@@ -616,19 +644,18 @@ GlobalScheduler::drainGlobalQueue(Server &server)
     // The freed server pulls the first queued task it can serve
     // while it still has spare execution units.
     while (server.load() < server.numCores() && !_globalQueue.empty()) {
+        RuntimeJob *rt = nullptr;
         auto pos = std::find_if(
             _globalQueue.begin(), _globalQueue.end(),
             [&](const QueuedTask &q) {
-                auto jit = _jobs.find(q.job);
-                return jit != _jobs.end() &&
-                       server.servesType(jit->second.job.task(q.task).type);
+                rt = findJob(q.job);
+                return rt && server.servesType(rt->job.task(q.task).type);
             });
         if (pos == _globalQueue.end())
             return;
-        QueuedTask q = *pos;
+        TaskId t = pos->task;
         _globalQueue.erase(pos);
-        RuntimeJob &rt = _jobs.at(q.job);
-        assignTask(rt, q.task, server.id());
+        assignTask(*rt, t, server.id());
     }
 }
 

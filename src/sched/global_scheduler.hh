@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "dispatch_policy.hh"
@@ -96,7 +97,7 @@ class GlobalScheduler
     /** Allow/disallow dispatching new tasks to server @p idx. */
     void setEligible(std::size_t idx, bool eligible);
     bool eligible(std::size_t idx) const { return _eligible.at(idx); }
-    std::size_t numEligible() const;
+    std::size_t numEligible() const { return _numEligible; }
     ///@}
 
     /** @name Fault tolerance (fault subsystem) */
@@ -173,7 +174,7 @@ class GlobalScheduler
     /** @name Introspection */
     ///@{
     /** Jobs admitted but not yet fully finished. */
-    std::size_t activeJobs() const { return _jobs.size(); }
+    std::size_t activeJobs() const { return _jobIndex.size(); }
     /** Tasks waiting in the global queue. */
     std::size_t globalQueueLength() const { return _globalQueue.size(); }
     /** Offered tasks (queued + running) per eligible server. */
@@ -263,25 +264,40 @@ class GlobalScheduler
         done,         ///< completed
     };
 
-    struct RuntimeJob {
-        Job job;
-        /** Unfinished parents per task. */
-        std::vector<std::uint32_t> pendingParents;
-        /** Inbound transfers still in flight per task. */
-        std::vector<std::uint32_t> pendingTransfers;
-        /** Assigned server per task (-1 = unassigned). */
-        std::vector<std::int64_t> taskServer;
-        /** Per-task lifecycle state (see TaskState). */
-        std::vector<TaskState> state;
-        /** Attempts started per task (1 = first dispatch). */
-        std::vector<std::uint32_t> attempts;
+    /** Runtime progress of one task of a live job. */
+    struct TaskRecord {
         /**
          * Service-time inflation of the current routed attempt
          * (1.0 = nominal). Set by the orchestration router per
          * placement; applied in makeRef.
          */
-        std::vector<double> serviceScale;
-        std::size_t remaining;
+        double serviceScale = 1.0;
+        /** Assigned server (-1 = unassigned). */
+        std::int64_t server = -1;
+        /** Unfinished parents. */
+        std::uint32_t pendingParents = 0;
+        /** Inbound transfers still in flight. */
+        std::uint32_t pendingTransfers = 0;
+        /** Attempts started (1 = first dispatch). */
+        std::uint32_t attempts = 0;
+        TaskState state = TaskState::waiting;
+    };
+
+    /**
+     * One slot of the job slab. A slot outlives its job: it is
+     * recycled through the free list, keeping the capacity of its
+     * task array, and its generation is bumped whenever the job
+     * leaves. Asynchronous callbacks capture (slot, generation), so
+     * a callback that outlived its job finds a newer generation and
+     * stays inert.
+     */
+    struct RuntimeJob {
+        Job job{0, 0};
+        std::vector<TaskRecord> tasks;
+        /** Unfinished tasks; 0 in a free slot. */
+        std::size_t remaining = 0;
+        std::uint32_t slot = 0;
+        std::uint32_t generation = 0;
     };
 
     /** A task waiting in the global queue. */
@@ -290,6 +306,17 @@ class GlobalScheduler
         TaskId task;
     };
 
+    /** Live job @p id, or nullptr once it finished or failed. */
+    RuntimeJob *findJob(JobId id);
+    /** The job in @p slot if it is still generation @p gen. */
+    RuntimeJob *
+    liveJob(std::uint32_t slot, std::uint32_t gen)
+    {
+        RuntimeJob &rt = _slab[slot];
+        return rt.generation == gen ? &rt : nullptr;
+    }
+    /** The job left: unindex it and recycle its slot. */
+    void releaseJob(RuntimeJob &rt);
     /** All parents done: place and (if needed) transfer. */
     void taskReady(RuntimeJob &rt, TaskId t);
     /** Place @p t on @p server and ship parent results. */
@@ -298,20 +325,25 @@ class GlobalScheduler
     void launchTask(RuntimeJob &rt, TaskId t);
     void onTaskDone(Server &server, const TaskRef &task);
     /**
-     * The current attempt of (@p job, @p t) died. Re-dispatch after
+     * The current attempt of task @p t died. Re-dispatch after
      * backoff, or abandon the whole job once attempts are exhausted.
-     * Tolerates jobs that are already gone.
      */
-    void taskAttemptFailed(JobId job, TaskId t);
-    /** Abandon @p job: cancel every live task, purge queues. */
-    void failJob(JobId job);
+    void taskAttemptFailed(RuntimeJob &rt, TaskId t);
+    /** Abandon the job: cancel every live task, purge queues. */
+    void failJob(RuntimeJob &rt);
     /** Arm the per-task timeout for the current attempt, if any. */
     void armTaskTimeout(RuntimeJob &rt, TaskId t);
     /** Let a freed-up server pull from the global queue. */
     void drainGlobalQueue(Server &server);
-    /** Eligible servers that can serve @p type. */
-    std::vector<std::size_t> candidatesFor(int type,
-                                           bool need_capacity) const;
+    /**
+     * Eligible, healthy servers that can serve @p type, cached per
+     * type. The reference dies with the next eligibility or health
+     * change, which dispatch (assignTask) can trigger through the
+     * controller hooks: do not hold it past the policy's pick().
+     */
+    const std::vector<std::size_t> &candidatesFor(int type) const;
+    /** Eligible, healthy servers of @p type with a free core. */
+    std::vector<std::size_t> freeCandidatesFor(int type) const;
     void invalidateCandidateCache() { _candidateCache.clear(); }
     TaskRef makeRef(const RuntimeJob &rt, TaskId t) const;
     void notifyLoadChanged();
@@ -333,9 +365,22 @@ class GlobalScheduler
     Network *_net;
 
     std::vector<bool> _eligible;
+    std::size_t _numEligible;
     /** Cached eligibility+type candidate lists (O(N) to rebuild). */
     mutable std::map<int, std::vector<std::size_t>> _candidateCache;
-    std::map<JobId, RuntimeJob> _jobs;
+    /**
+     * The job slab. A deque keeps a RuntimeJob's address stable
+     * while callbacks that run mid-dispatch submit new jobs.
+     */
+    std::deque<RuntimeJob> _slab;
+    /** Free slab slots, reused last-in first-out. */
+    std::vector<std::uint32_t> _freeSlots;
+    /**
+     * JobId -> slab slot. Ids are arbitrary 64-bit values (generator
+     * counters, pod-namespaced ids, caller-chosen ids), so they are
+     * hashed rather than used as indexes.
+     */
+    std::unordered_map<JobId, std::uint32_t> _jobIndex;
     std::deque<QueuedTask> _globalQueue;
 
     JobDoneFn _jobDone;

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "network/network.hh"
 #include "sched/dispatch_policy.hh"
@@ -372,4 +374,332 @@ TEST_F(SchedFixture, ConstructionValidation)
     EXPECT_THROW(GlobalScheduler(sim, reversed,
                                  std::make_unique<LeastLoadedPolicy>()),
                  FatalError);
+}
+
+// ------------------------------------------------ candidate cache safety
+
+namespace {
+
+/** Round-robin that records every pick and checks its candidates. */
+class RecordingRoundRobin : public DispatchPolicy
+{
+  public:
+    explicit RecordingRoundRobin(std::vector<std::size_t> &picks)
+        : _picks(picks)
+    {
+    }
+
+    std::size_t
+    pick(const std::vector<std::size_t> &candidates,
+         const std::vector<Server *> &servers,
+         const DispatchContext &ctx) override
+    {
+        for (std::size_t c : candidates)
+            EXPECT_FALSE(servers[c]->failed()) << "candidate " << c;
+        std::size_t chosen = _rr.pick(candidates, servers, ctx);
+        _picks.push_back(chosen);
+        return chosen;
+    }
+
+  private:
+    RoundRobinPolicy _rr;
+    std::vector<std::size_t> &_picks;
+};
+
+} // namespace
+
+TEST_F(SchedFixture, CandidateCacheFollowsEligibilityAndFaults)
+{
+    makeFleet(6);
+    std::vector<std::size_t> picks;
+    makeScheduler(std::make_unique<RecordingRoundRobin>(picks));
+    RetryPolicy retry;
+    retry.maxAttempts = 2;
+    sched->setRetryPolicy(retry);
+    auto fail = [&](std::size_t i) {
+        sched->onServerFailed(i, servers[i]->fail());
+    };
+    auto repair = [&](std::size_t i) {
+        servers[i]->repair();
+        sched->onServerRepaired(i);
+    };
+
+    JobId next = 0;
+    auto submit = [&] {
+        sched->submitJob(singleTaskJob(next++, 5 * msec));
+    };
+    submit();                     // 0
+    submit();                     // 1
+    sched->setEligible(2, false); // skips 2
+    submit();                     // 3
+    fail(4);                      // skips 4
+    submit();                     // 5
+    submit();                     // wraps to 0
+    fail(1);                      // kills job 1's attempt
+    submit();                     // 3 (1 and 2 are out)
+    repair(4);
+    submit();                     // 4 is back
+    sched->setEligible(2, true);
+    submit();                     // 5
+    submit();                     // wraps to 0
+    sim.run();                    // job 1 retries: 1 is down, so 2
+
+    std::vector<std::size_t> expect{0, 1, 3, 5, 0, 3, 4, 5, 0, 2};
+    EXPECT_EQ(picks, expect);
+    EXPECT_EQ(finished.size(), next);
+    EXPECT_EQ(sched->taskRetries(), 1u);
+    EXPECT_EQ(sched->numEligible(), 6u);
+}
+
+TEST_F(SchedFixture, NumEligibleTracksFlips)
+{
+    makeFleet(4);
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    EXPECT_EQ(sched->numEligible(), 4u);
+    sched->setEligible(1, false);
+    sched->setEligible(1, false); // idempotent
+    sched->setEligible(3, false);
+    EXPECT_EQ(sched->numEligible(), 2u);
+    sched->setEligible(1, true);
+    EXPECT_EQ(sched->numEligible(), 3u);
+    EXPECT_THROW(sched->setEligible(4, true), std::out_of_range);
+}
+
+// ------------------------------------------------------- job slab semantics
+
+namespace {
+
+void
+expectConserved(const GlobalScheduler &s)
+{
+    GlobalScheduler::TaskCensus c = s.taskCensus();
+    EXPECT_EQ(c.created, c.finished + c.aborted + c.live);
+}
+
+} // namespace
+
+TEST_F(SchedFixture, NamespacedAndUnorderedIdsAllComplete)
+{
+    makeFleet(4, 2);
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    // Pod-namespaced ids interleaved with small, descending ones:
+    // enough live jobs to grow the index several times, finishing
+    // out of submission order.
+    std::vector<JobId> ids;
+    for (JobId k = 0; k < 200; ++k) {
+        ids.push_back((JobId{1} << 40) | k);
+        ids.push_back(199 - k);
+        ids.push_back((JobId{7} << 40) | (k * 7919));
+    }
+    ids.push_back(~JobId{0});
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        Job j(ids[i], 0);
+        TaskId a = j.addTask(TaskSpec{(1 + (i * 37) % 11) * msec, 0, 1.0});
+        TaskId b = j.addTask(TaskSpec{1 * msec, 0, 1.0});
+        j.addEdge(a, b, 0);
+        j.validate();
+        sched->submitJob(std::move(j));
+    }
+    EXPECT_EQ(sched->activeJobs(), ids.size());
+    expectConserved(*sched);
+    sim.run();
+
+    std::vector<JobId> done;
+    for (const auto &[id, lat] : finished)
+        done.push_back(id);
+    std::sort(done.begin(), done.end());
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(done, ids);
+    EXPECT_EQ(sched->activeJobs(), 0u);
+    expectConserved(*sched);
+}
+
+TEST_F(SchedFixture, DuplicateLiveIdIsFatalButFinishedIdIsReusable)
+{
+    makeFleet(2);
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    JobId big = (JobId{3} << 40) | 9;
+    sched->submitJob(singleTaskJob(big, 5 * msec));
+    sched->submitJob(singleTaskJob(7, 5 * msec));
+    EXPECT_THROW(sched->submitJob(singleTaskJob(7, 5 * msec)), FatalError);
+    EXPECT_THROW(sched->submitJob(singleTaskJob(big, 5 * msec)),
+                 FatalError);
+    sim.run();
+    ASSERT_EQ(finished.size(), 2u);
+    // Once finished, the id is free again.
+    sched->submitJob(singleTaskJob(7, 5 * msec, sim.curTick()));
+    sim.run();
+    ASSERT_EQ(finished.size(), 3u);
+    EXPECT_EQ(finished.back().first, 7u);
+    EXPECT_EQ(sched->activeJobs(), 0u);
+}
+
+TEST_F(SchedFixture, StaleCallbacksOfFailedJobAreInert)
+{
+    makeFleet(16, 1);
+    net = std::make_unique<Network>(
+        sim, Topology::fatTree(4, 1e9, 5 * usec),
+        SwitchPowerProfile::cisco2960_24());
+    makeScheduler(std::make_unique<RoundRobinPolicy>(), {}, net.get());
+    std::vector<JobId> failedIds;
+    sched->setJobFailedCallback(
+        [&](JobId id) { failedIds.push_back(id); });
+    RetryPolicy retry;
+    retry.maxAttempts = 1;
+    retry.taskTimeout = 1 * sec;
+    sched->setRetryPolicy(retry);
+
+    // a -> b over a 100 Mb edge (0.1 s at 1 Gb/s), plus a root c.
+    auto forkJob = [](JobId id, Tick arrival, Tick c_service) {
+        Job j(id, arrival);
+        TaskId a = j.addTask(TaskSpec{1 * msec, 0, 1.0});
+        TaskId b = j.addTask(TaskSpec{1 * msec, 0, 1.0});
+        j.addTask(TaskSpec{c_service, 0, 1.0});
+        j.addEdge(a, b, 12'500'000);
+        j.validate();
+        return j;
+    };
+
+    // Job 100: a on server 0, c on server 1; b waits on a transfer
+    // to server 2 when server 1 crashes and takes the job down.
+    sched->submitJob(forkJob(100, 0, 500 * msec));
+    sim.runUntil(10 * msec);
+    EXPECT_EQ(sched->transfersStarted(), 1u);
+    sched->onServerFailed(1, servers[1]->fail());
+    ASSERT_EQ(failedIds, std::vector<JobId>{100});
+    EXPECT_TRUE(sched->jobHasFailed(100));
+    expectConserved(*sched);
+
+    // Job 5 reuses job 100's slot. Its b reaches the same attempt
+    // and state job 100's b had, so job 100's transfer landing at
+    // ~101 ms must not launch it: b waits for its own transfer.
+    sched->submitJob(forkJob(5, 10 * msec, 50 * msec));
+    expectConserved(*sched);
+    sim.run();
+
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_EQ(finished[0].first, 5u);
+    EXPECT_GT(finished[0].second, 100 * msec);
+    EXPECT_EQ(sched->transfersStarted(), 2u);
+    // Job 100's armed timeouts fired into a recycled slot and did
+    // nothing.
+    EXPECT_EQ(sched->taskTimeouts(), 0u);
+    EXPECT_TRUE(sched->jobHasFailed(100));
+    EXPECT_FALSE(sched->jobHasFailed(5));
+    EXPECT_EQ(sched->activeJobs(), 0u);
+    expectConserved(*sched);
+}
+
+TEST_F(SchedFixture, ResumeTaskOnGoneJobIsNoOp)
+{
+    makeFleet(1);
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    sched->submitJob(singleTaskJob(3, 1 * msec));
+    sched->resumeTask(3, 0); // live but not deferred
+    sched->resumeTask(3, 5); // no such task
+    sim.run();
+    ASSERT_EQ(finished.size(), 1u);
+    sched->resumeTask(3, 0); // finished
+    sched->resumeTask(4, 0); // never existed
+    sim.run();
+    EXPECT_EQ(finished.size(), 1u);
+    EXPECT_EQ(sched->tasksDispatched(), 1u);
+    EXPECT_EQ(sched->deferredTasks(), 0u);
+}
+
+TEST_F(SchedFixture, CensusConservedUnderRetries)
+{
+    makeFleet(3, 1);
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    RetryPolicy retry;
+    retry.maxAttempts = 2;
+    sched->setRetryPolicy(retry);
+    for (JobId i = 0; i < 9; ++i) {
+        Job j(i, 0);
+        TaskId a = j.addTask(TaskSpec{20 * msec, 0, 1.0});
+        TaskId b = j.addTask(TaskSpec{20 * msec, 0, 1.0});
+        j.addEdge(a, b, 0);
+        j.validate();
+        sched->submitJob(std::move(j));
+    }
+    expectConserved(*sched);
+    // Crash server 0 twice: first-attempt victims retry, and tasks
+    // caught a second time exhaust their budget and fail the job.
+    for (int round = 0; round < 2; ++round) {
+        sim.runUntil(sim.curTick() + 5 * msec);
+        sched->onServerFailed(0, servers[0]->fail());
+        expectConserved(*sched);
+        sim.runUntil(sim.curTick() + 15 * msec);
+        servers[0]->repair();
+        sched->onServerRepaired(0);
+        expectConserved(*sched);
+    }
+    sim.run();
+    GlobalScheduler::TaskCensus c = sched->taskCensus();
+    EXPECT_EQ(c.live, 0u);
+    EXPECT_EQ(c.created, 18u);
+    EXPECT_GT(sched->taskRetries(), 0u);
+    EXPECT_EQ(finished.size() + sched->jobsFailed(), 9u);
+    expectConserved(*sched);
+}
+
+TEST_F(SchedFixture, JobAbandonedMidDispatchReleasesOnce)
+{
+    // Server 0 serves type 1, server 1 serves type 2.
+    for (unsigned i = 0; i < 2; ++i) {
+        ServerConfig cfg;
+        cfg.id = i;
+        cfg.nCores = 2;
+        cfg.taskTypes = {static_cast<int>(i + 1)};
+        owned.push_back(std::make_unique<Server>(sim, cfg, prof));
+        servers.push_back(owned.back().get());
+    }
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    RetryPolicy retry;
+    retry.maxAttempts = 1;
+    sched->setRetryPolicy(retry);
+
+    // a (type 1) fans out to two type-2 children. With the only
+    // type-2 server down, waking the first child abandons the job;
+    // the second child must not be woken on the released slot.
+    Job j(0, 0);
+    TaskId a = j.addTask(TaskSpec{1 * msec, 1, 1.0});
+    TaskId b = j.addTask(TaskSpec{1 * msec, 2, 1.0});
+    TaskId c = j.addTask(TaskSpec{1 * msec, 2, 1.0});
+    j.addEdge(a, b, 0);
+    j.addEdge(a, c, 0);
+    j.validate();
+    sched->submitJob(std::move(j));
+    sched->onServerFailed(1, servers[1]->fail());
+    sim.run();
+    EXPECT_EQ(sched->jobsFailed(), 1u);
+    EXPECT_TRUE(sched->jobHasFailed(0));
+    EXPECT_EQ(sched->activeJobs(), 0u);
+    expectConserved(*sched);
+
+    // Likewise for roots: the first abandons the job at submit.
+    Job r(9, sim.curTick());
+    r.addTask(TaskSpec{1 * msec, 2, 1.0});
+    r.addTask(TaskSpec{1 * msec, 2, 1.0});
+    r.validate();
+    sched->submitJob(std::move(r));
+    EXPECT_EQ(sched->jobsFailed(), 2u);
+    EXPECT_TRUE(sched->jobHasFailed(9));
+    expectConserved(*sched);
+
+    // The slot went back to the free list exactly once: two new
+    // jobs get two distinct slots and both complete.
+    Job x(1, sim.curTick());
+    x.addTask(TaskSpec{1 * msec, 1, 1.0});
+    x.validate();
+    Job y(2, sim.curTick());
+    y.addTask(TaskSpec{2 * msec, 1, 1.0});
+    y.validate();
+    sched->submitJob(std::move(x));
+    sched->submitJob(std::move(y));
+    sim.run();
+    ASSERT_EQ(finished.size(), 2u);
+    EXPECT_EQ(sched->jobsCompleted(), 2u);
+    EXPECT_EQ(sched->activeJobs(), 0u);
+    expectConserved(*sched);
 }
