@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "network/flow_manager.hh"
+#include "network/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/event_queue.hh"
@@ -111,7 +111,7 @@ BM_FlowReshare(benchmark::State &state)
         Simulator sim;
         auto topo = Topology::fatTree(4, 1e9, 5 * usec);
         StaticRouting routing(topo);
-        FlowManager mgr(sim, topo);
+        NetModel mgr(sim, topo);
         state.ResumeTiming();
         for (int i = 0; i < flows; ++i) {
             auto route = routing.route(

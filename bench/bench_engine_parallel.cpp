@@ -10,7 +10,7 @@
  * ratio of the two runs is the engine speedup.
  *
  * Part 2 replays the same flow-activation churn through the current
- * dense-indexed FlowManager::reshare and through a reference
+ * dense-indexed exact-tier NetModel solve and through a reference
  * re-implementation of the previous algorithm (per-round std::map
  * lookups for capacity/users/bottleneck membership), and reports
  * microseconds per reshare for both.
@@ -45,8 +45,7 @@
 #include "common.hh"
 #include "exp/experiment.hh"
 #include "exp/thread_pool.hh"
-#include "network/flow_manager.hh"
-#include "network/fluid/net_model.hh"
+#include "network/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/logging.hh"
@@ -223,7 +222,7 @@ reshareChurn(std::size_t n_flows)
     // reshare over the flows admitted so far.
     {
         Simulator sim;
-        FlowManager mgr(sim, topo);
+        NetModel mgr(sim, topo);
         double t0 = now_s();
         for (std::size_t i = 0; i < n_flows; ++i) {
             mgr.startFlow(routes[i], 1'000'000'000'000, [] {});
@@ -297,7 +296,7 @@ churnRun(NetModelKind kind, const Topology &topo,
     Simulator sim;
     NetModelConfig cfg;
     cfg.kind = kind;
-    auto model = makeNetModel(sim, topo, cfg);
+    auto model = std::make_unique<NetModel>(sim, topo, cfg);
 
     constexpr Bytes huge = 1'000'000'000'000'000; // completions far out
     std::vector<FlowId> ids(routes.size());

@@ -103,12 +103,12 @@ options:
   --sample-period=DUR   sampling period: a number with an optional
                         ns/us/ms/s suffix (default unit ms)
   --net-model=M         flow-level network model tier: exact
-                        (default; global max-min re-solve), fluid
-                        (partial invalidation, scales to millions of
-                        flows) or hybrid (exact solver + fast path)
+                        (default; every change re-solves all flows)
+                        or fluid (re-solves only the touched
+                        component; scales to millions of flows)
   --fast-path-kb=K      transfers of at most K KiB complete
                         analytically without entering the solver
-                        (fluid/hybrid tiers; default 0 = off)
+                        (either tier; default 0 = off)
   --orch                run the container orchestration layer (as if
                         the config had an [orch] section): generated
                         jobs route through containers of a default

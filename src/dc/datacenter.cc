@@ -610,7 +610,7 @@ DataCenter::dumpStats(std::ostream &os)
         n.add("sleeping_switches",
               static_cast<std::uint64_t>(_net->sleepingSwitches()));
         // Solver cost counters of the configured model tier
-        // (exact/fluid/hybrid): how often the bandwidth-share
+        // (exact/fluid): how often the bandwidth-share
         // solver ran, how much of the fabric each run touched, and
         // how many transfers the analytic fast path absorbed.
         const NetSolverStats &ss = _net->flows().solverStats();

@@ -1,23 +1,63 @@
-#include "fluid_flow_model.hh"
+#include "net_model.hh"
 
 #include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <sstream>
 
 #include "sim/logging.hh"
 
 namespace holdcsim {
 
-FluidFlowModel::FluidFlowModel(Simulator &sim, const Topology &topo,
-                               Bytes fast_path_bytes)
-    : _sim(sim), _topo(topo), _fastPathBytes(fast_path_bytes)
+const char *
+toString(NetModelKind kind)
 {
-    _linkFlows.resize(2 * _topo.numLinks());
-    _linkEpoch.assign(2 * _topo.numLinks(), 0);
+    switch (kind) {
+      case NetModelKind::exact:
+        return "exact";
+      case NetModelKind::fluid:
+        return "fluid";
+    }
+    return "?";
 }
 
-FluidFlowModel::~FluidFlowModel()
+NetModelKind
+parseNetModelKind(const std::string &s)
+{
+    if (s == "exact")
+        return NetModelKind::exact;
+    if (s == "fluid")
+        return NetModelKind::fluid;
+    fatal("unknown network model '", s, "' (expected exact or fluid)");
+}
+
+Tick
+fastPathDuration(const Topology &topo, const Route &route, Bytes bytes)
+{
+    Tick latency = 0;
+    BitsPerSec bottleneck = std::numeric_limits<BitsPerSec>::infinity();
+    for (LinkId l : route.links) {
+        const LinkInfo &li = topo.link(l);
+        latency += li.latency;
+        bottleneck = std::min(bottleneck, li.rate);
+    }
+    if (route.links.empty() || bytes == 0)
+        return latency;
+    return latency + serializationDelay(bytes, bottleneck);
+}
+
+NetModel::NetModel(Simulator &sim, const Topology &topo,
+                   const NetModelConfig &cfg)
+    : _sim(sim), _topo(topo), _cfg(cfg),
+      _linkFlows(2 * topo.numLinks()),
+      _linkEpoch(2 * topo.numLinks(), 0),
+      _capLeft(2 * topo.numLinks()),
+      _usersLeft(2 * topo.numLinks()),
+      _isBottleneck(2 * topo.numLinks(), 0)
+{}
+
+NetModel::~NetModel()
 {
     for (auto &[id, flow] : _flows) {
         if (flow.completion && flow.completion->scheduled())
@@ -28,7 +68,7 @@ FluidFlowModel::~FluidFlowModel()
 }
 
 TraceManager *
-FluidFlowModel::flowTracer()
+NetModel::flowTracer()
 {
     TraceManager *tr = _sim.tracer();
     if (!tr || !tr->wants(TraceCategory::flow))
@@ -39,16 +79,17 @@ FluidFlowModel::flowTracer()
 }
 
 FlowId
-FluidFlowModel::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
-                          Tick start_delay)
+NetModel::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
+                    Tick start_delay)
 {
     FlowId id = _nextId++;
-    Flow flow;
+    Flow &flow = _flows.emplace_hint(_flows.end(), id, Flow{})->second;
     flow.id = id;
     flow.remainingBits = static_cast<double>(bytes) * 8.0;
     flow.onDone = std::move(on_done);
     flow.startedAt = _sim.curTick();
 
+    // Record the traversal direction on every hop.
     for (std::size_t i = 0; i < route.links.size(); ++i) {
         LinkId l = route.links[i];
         bool forward = _topo.link(l).a == route.nodes[i];
@@ -58,41 +99,31 @@ FluidFlowModel::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
 
     flow.completion = std::make_unique<EventFunctionWrapper>(
         [this, id] { finish(id); }, "flow.completion");
+    if (TraceManager *tr = flowTracer()) {
+        tr->asyncBegin(_traceTrack, TraceCategory::flow, "flow", id,
+                       _sim.curTick());
+    }
 
-    bool fast = _fastPathBytes > 0 && bytes <= _fastPathBytes &&
-                !route.links.empty();
-    if (fast) {
-        // Constant-latency model: a short transfer completes after
-        // path latency + serialization at the bottleneck rate,
-        // without ever contending in the solver.
-        flow.fastPath = true;
+    // Constant-latency fast path: a short transfer never contends
+    // for bandwidth -- it completes analytically after the path
+    // latency plus serialization at the bottleneck link rate.
+    if (_cfg.fastPathBytes > 0 && bytes <= _cfg.fastPathBytes &&
+        !route.links.empty()) {
         ++_solverStats.fastPathHits;
-        Tick eta = start_delay + fastPathDuration(_topo, route, bytes);
-        auto [it, inserted] = _flows.emplace(id, std::move(flow));
-        (void)inserted;
-        if (TraceManager *tr = flowTracer()) {
-            tr->asyncBegin(_traceTrack, TraceCategory::flow, "flow",
-                           id, _sim.curTick());
-        }
-        _sim.scheduleAfter(*it->second.completion, eta);
+        _sim.scheduleAfter(*flow.completion,
+                           start_delay +
+                               fastPathDuration(_topo, route, bytes));
         return id;
     }
 
     flow.activation = std::make_unique<EventFunctionWrapper>(
         [this, id] { activate(id); }, "flow.activation");
-
-    auto [it, inserted] = _flows.emplace(id, std::move(flow));
-    (void)inserted;
-    if (TraceManager *tr = flowTracer()) {
-        tr->asyncBegin(_traceTrack, TraceCategory::flow, "flow", id,
-                       _sim.curTick());
-    }
-    _sim.scheduleAfter(*it->second.activation, start_delay);
+    _sim.scheduleAfter(*flow.activation, start_delay);
     return id;
 }
 
 void
-FluidFlowModel::enroll(Flow &flow)
+NetModel::enroll(Flow &flow)
 {
     for (std::size_t i = 0; i < flow.pathIdx.size(); ++i) {
         auto &members = _linkFlows[flow.pathIdx[i]];
@@ -102,10 +133,13 @@ FluidFlowModel::enroll(Flow &flow)
 }
 
 void
-FluidFlowModel::unenroll(Flow &flow)
+NetModel::unenroll(Flow &flow)
 {
     for (std::size_t i = 0; i < flow.pathIdx.size(); ++i) {
         std::uint32_t dl = flow.pathIdx[i];
+        // The freed bandwidth can only move flows reachable from
+        // this link.
+        _seedLinks.push_back(dl);
         auto &members = _linkFlows[dl];
         std::uint32_t pos = flow.linkPos[i];
         Flow *moved = members.back();
@@ -126,7 +160,7 @@ FluidFlowModel::unenroll(Flow &flow)
 }
 
 void
-FluidFlowModel::activate(FlowId id)
+NetModel::activate(FlowId id)
 {
     auto it = _flows.find(id);
     if (it == _flows.end())
@@ -142,13 +176,13 @@ FluidFlowModel::activate(FlowId id)
     enroll(flow);
     if (_bulk)
         return; // endBulkLoad() solves once for everyone
-    for (std::uint32_t dl : flow.pathIdx)
-        seedLink(dl);
-    resolveDirty();
+    _seedLinks.insert(_seedLinks.end(), flow.pathIdx.begin(),
+                      flow.pathIdx.end());
+    resolve();
 }
 
 void
-FluidFlowModel::finish(FlowId id)
+NetModel::finish(FlowId id)
 {
     auto it = _flows.find(id);
     if (it == _flows.end())
@@ -162,41 +196,60 @@ FluidFlowModel::finish(FlowId id)
         tr->asyncEnd(_traceTrack, TraceCategory::flow, "flow", id,
                      _sim.curTick());
     }
-    if (was_active) {
+    if (was_active)
         unenroll(flow);
-        // The freed bandwidth can only move flows in this
-        // component; everyone else keeps their exact rates.
-        for (std::uint32_t dl : flow.pathIdx)
-            seedLink(dl);
-    }
     _flows.erase(it);
     if (was_active)
-        resolveDirty();
+        resolve();
     if (done)
         done();
 }
 
 void
-FluidFlowModel::endBulkLoad()
+NetModel::endBulkLoad()
 {
     _bulk = false;
     for (std::uint32_t dl = 0; dl < _linkFlows.size(); ++dl) {
         if (!_linkFlows[dl].empty())
-            seedLink(dl);
+            _seedLinks.push_back(dl);
     }
-    resolveDirty();
+    resolve();
 }
 
 void
-FluidFlowModel::seedLink(std::uint32_t dl)
+NetModel::markLink(std::uint32_t dl)
 {
-    // Duplicates are harmless: resolveDirty() dedupes via epochs.
-    _seedLinks.push_back(dl);
+    if (_linkEpoch[dl] == _epoch)
+        return;
+    _linkEpoch[dl] = _epoch;
+    _dirtyLinks.push_back(dl);
+    _capLeft[dl] = _topo.link(dl / 2).rate;
+    _usersLeft[dl] = 0;
 }
 
 void
-FluidFlowModel::abortSolve(const std::string &what)
+NetModel::markDirty(Flow &flow, Tick now)
 {
+    // Settle the bits moved at the old rate, which is about to
+    // change. Clean flows keep progressing linearly at their
+    // unchanged rates, so their books stay correct untouched.
+    double transferred = flow.rate * toSeconds(now - flow.lastUpdate);
+    flow.remainingBits = std::max(0.0, flow.remainingBits - transferred);
+    flow.lastUpdate = now;
+    _dirtyFlows.push_back(&flow);
+    for (std::uint32_t dl : flow.pathIdx) {
+        markLink(dl);
+        ++_usersLeft[dl];
+    }
+}
+
+void
+NetModel::abortSolve(const std::string &what)
+{
+    // The solver wedged: an internal inconsistency, not a user
+    // error. Name the flows and links still in play so the
+    // post-mortem pinpoints the offending state, then hand the
+    // run to the campaign quarantine machinery.
     std::ostringstream detail;
     detail << what << "; " << _unfrozen.size()
            << " unfrozen flow(s):";
@@ -221,38 +274,39 @@ FluidFlowModel::abortSolve(const std::string &what)
 }
 
 void
-FluidFlowModel::resolveDirty()
+NetModel::resolve()
 {
-    if (_seedLinks.empty())
-        return;
-
-    // 1/2: expand the seeds to the full connected component over
-    // the membership lists. Epoch marks make visits O(1) with no
-    // clearing pass.
+    // 1: collect and settle the dirty set. Epoch marks make link
+    // visits O(1) with no clearing pass.
     ++_epoch;
     _dirtyLinks.clear();
     _dirtyFlows.clear();
-    for (std::uint32_t dl : _seedLinks) {
-        if (_linkEpoch[dl] != _epoch) {
-            _linkEpoch[dl] = _epoch;
-            _dirtyLinks.push_back(dl);
+    Tick now = _sim.curTick();
+    if (_cfg.kind == NetModelKind::exact) {
+        // The whole fabric is dirty: every active flow, in FlowId
+        // order, which also orders the rescheduled completions.
+        for (auto &[id, flow] : _flows) {
+            if (flow.active)
+                markDirty(flow, now);
         }
-    }
-    _seedLinks.clear();
-    for (std::size_t i = 0; i < _dirtyLinks.size(); ++i) {
-        for (Flow *f : _linkFlows[_dirtyLinks[i]]) {
-            if (f->visitEpoch == _epoch)
-                continue;
-            f->visitEpoch = _epoch;
-            _dirtyFlows.push_back(f);
-            for (std::uint32_t dl : f->pathIdx) {
-                if (_linkEpoch[dl] != _epoch) {
-                    _linkEpoch[dl] = _epoch;
-                    _dirtyLinks.push_back(dl);
-                }
+    } else {
+        // Expand the changed links to the full connected component
+        // over the membership lists (dirty link -> its flows are
+        // dirty; dirty flow -> its links are dirty).
+        if (_seedLinks.empty())
+            return;
+        for (std::uint32_t dl : _seedLinks)
+            markLink(dl);
+        for (std::size_t i = 0; i < _dirtyLinks.size(); ++i) {
+            for (Flow *f : _linkFlows[_dirtyLinks[i]]) {
+                if (f->visitEpoch == _epoch)
+                    continue;
+                f->visitEpoch = _epoch;
+                markDirty(*f, now);
             }
         }
     }
+    _seedLinks.clear();
 
     ++_solverStats.resolves;
     _solverStats.resolvedFlows += _dirtyFlows.size();
@@ -261,39 +315,13 @@ FluidFlowModel::resolveDirty()
         _solverStats.maxDirtyFlows,
         static_cast<std::uint64_t>(_dirtyFlows.size()));
 
-    if (_dirtyFlows.empty())
-        return; // e.g. a repaired link with no traffic near it
-
-    // 3: settle transferred bits for the dirty flows, whose rates
-    // are about to change. Clean flows keep progressing linearly at
-    // their unchanged rates, so their books stay correct untouched.
-    Tick now = _sim.curTick();
-    for (Flow *f : _dirtyFlows) {
-        double transferred = f->rate * toSeconds(now - f->lastUpdate);
-        f->remainingBits =
-            std::max(0.0, f->remainingBits - transferred);
-        f->lastUpdate = now;
-    }
-
-    // 4: progressive filling restricted to the component. Every
-    // active flow on a dirty link is dirty (BFS fixed point), so
-    // the restricted problem is self-contained and its solution
-    // equals the global max-min allocation on these flows.
-    const std::size_t n_dl = 2 * _topo.numLinks();
-    if (_capLeft.size() != n_dl) {
-        _capLeft.resize(n_dl);
-        _usersLeft.resize(n_dl);
-        _isBottleneck.assign(n_dl, 0);
-    }
-    for (std::uint32_t dl : _dirtyLinks) {
-        _capLeft[dl] = _topo.link(dl / 2).rate;
-        _usersLeft[dl] = 0;
-    }
-    for (Flow *f : _dirtyFlows) {
-        for (std::uint32_t dl : f->pathIdx)
-            ++_usersLeft[dl];
-    }
-
+    // 2: progressive filling over the dirty set: repeatedly saturate
+    // the most contended directed link and freeze its flows at the
+    // bottleneck share. Every active flow on a dirty link is dirty,
+    // so the restricted problem is self-contained and its solution
+    // equals the global max-min allocation on these flows. All
+    // per-link state lives in dense vectors indexed by directed
+    // link; only the dirty entries are initialized and scanned.
     _unfrozen = _dirtyFlows;
     while (!_unfrozen.empty()) {
         double best_share = std::numeric_limits<double>::infinity();
@@ -304,11 +332,15 @@ FluidFlowModel::resolveDirty()
             best_share = std::min(best_share, share);
         }
         if (!std::isfinite(best_share))
-            abortSolve("fluid solve found no bottleneck");
+            abortSolve("flow solve found no bottleneck");
 
-        // Snapshot the bottleneck set before freezing (see the
-        // exact model: epsilon-tied links must be classified
-        // against the round's opening shares).
+        // Snapshot the bottleneck link set for this round *before*
+        // freezing anything: freezing a flow debits the links it
+        // crosses, and comparing later flows against those mutated
+        // shares mis-classifies links that were epsilon-tied at the
+        // round's start (flows frozen above or below their true
+        // max-min rate). The snapshot also makes the allocation
+        // independent of flow and link order.
         double tolerance = 1e-9 * std::max(1.0, best_share);
         for (std::uint32_t dl : _dirtyLinks) {
             _isBottleneck[dl] =
@@ -317,6 +349,7 @@ FluidFlowModel::resolveDirty()
                     best_share + tolerance;
         }
 
+        // Freeze every flow crossing a bottleneck link at that share.
         std::size_t kept = 0;
         for (Flow *flow : _unfrozen) {
             bool frozen = false;
@@ -340,13 +373,13 @@ FluidFlowModel::resolveDirty()
         if (kept == _unfrozen.size()) {
             _unfrozen.resize(kept);
             abortSolve(detail::format(
-                "fluid solve made no progress at share ",
-                best_share));
+                "flow solve made no progress at share ", best_share));
         }
         _unfrozen.resize(kept);
     }
 
-    // 5: reschedule completions for the dirty flows only.
+    // 3: reschedule completions for the dirty flows, in dirty-set
+    // order (which breaks same-tick ties).
     for (Flow *f : _dirtyFlows) {
         if (f->completion->scheduled())
             _sim.deschedule(*f->completion);
@@ -359,7 +392,7 @@ FluidFlowModel::resolveDirty()
 }
 
 bool
-FluidFlowModel::abortFlow(FlowId flow_id)
+NetModel::abortFlow(FlowId flow_id)
 {
     auto it = _flows.find(flow_id);
     if (it == _flows.end())
@@ -371,11 +404,8 @@ FluidFlowModel::abortFlow(FlowId flow_id)
         _sim.deschedule(*f.completion);
     if (f.activation && f.activation->scheduled())
         _sim.deschedule(*f.activation);
-    if (was_active) {
+    if (was_active)
         unenroll(f);
-        for (std::uint32_t dl : f.pathIdx)
-            seedLink(dl);
-    }
     _flows.erase(it);
     ++_flowsAborted;
     if (TraceManager *tr = flowTracer()) {
@@ -385,26 +415,20 @@ FluidFlowModel::abortFlow(FlowId flow_id)
                      flow_id, _sim.curTick());
     }
     if (was_active)
-        resolveDirty(); // survivors inherit the freed bandwidth
+        resolve(); // survivors inherit the freed bandwidth
     if (aborted)
         aborted();
     return true;
 }
 
 std::size_t
-FluidFlowModel::abortFlowsOn(LinkId l)
+NetModel::abortFlowsOn(LinkId l)
 {
-    // Active flows come straight off the membership lists; pending
-    // and fast-path flows (not enrolled) need the full scan, but
-    // this only runs on fault events, never on the churn hot path.
+    // A full scan in FlowId order: pending and fast-path flows are
+    // not enrolled, and this only runs on fault events, never on the
+    // churn hot path.
     std::vector<FlowId> doomed;
-    for (Flow *f : _linkFlows[2 * l])
-        doomed.push_back(f->id);
-    for (Flow *f : _linkFlows[2 * l + 1])
-        doomed.push_back(f->id);
     for (const auto &[id, flow] : _flows) {
-        if (flow.active)
-            continue;
         for (std::uint32_t dl : flow.pathIdx) {
             if (dl / 2 == l) {
                 doomed.push_back(id);
@@ -412,32 +436,13 @@ FluidFlowModel::abortFlowsOn(LinkId l)
             }
         }
     }
-    // Deterministic kill order regardless of hash-map iteration.
-    std::sort(doomed.begin(), doomed.end());
-    doomed.erase(std::unique(doomed.begin(), doomed.end()),
-                 doomed.end());
     for (FlowId id : doomed)
         abortFlow(id);
     return doomed.size();
 }
 
 void
-FluidFlowModel::linkHealthChanged(LinkId l, bool healthy)
-{
-    (void)healthy;
-    // A capacity boundary moved (fault injected or repaired):
-    // invalidate the component touching the link. After a failure
-    // the flows crossing it were already aborted, so this usually
-    // resolves a small or empty set -- but it keeps the fluid
-    // state honest if a future capacity model makes health affect
-    // surviving flows.
-    seedLink(2 * l);
-    seedLink(2 * l + 1);
-    resolveDirty();
-}
-
-void
-FluidFlowModel::setAbortCallback(FlowId flow, FlowDoneFn on_abort)
+NetModel::setAbortCallback(FlowId flow, FlowDoneFn on_abort)
 {
     auto it = _flows.find(flow);
     if (it == _flows.end())
@@ -446,7 +451,7 @@ FluidFlowModel::setAbortCallback(FlowId flow, FlowDoneFn on_abort)
 }
 
 BitsPerSec
-FluidFlowModel::flowRate(FlowId flow) const
+NetModel::flowRate(FlowId flow) const
 {
     auto it = _flows.find(flow);
     if (it == _flows.end() || !it->second.active)
@@ -455,7 +460,7 @@ FluidFlowModel::flowRate(FlowId flow) const
 }
 
 double
-FluidFlowModel::linkUtilization(LinkId l) const
+NetModel::linkUtilization(LinkId l) const
 {
     double fwd = 0.0, rev = 0.0;
     for (const Flow *f : _linkFlows[2 * l + 1])

@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <string>
 
-#include "network/fluid/net_model.hh"
+#include "network/net_model.hh"
 #include "sim/types.hh"
 
 namespace holdcsim {

@@ -266,6 +266,26 @@ TEST(DataCenter, NetworkAwareConfigBuilds)
     EXPECT_GT(dc.switchEnergy(), 0.0);
 }
 
+TEST(DataCenter, ExactTierTakesFastPath)
+{
+    // fast_path_kb applies to every tier, the exact one included.
+    DataCenter dc(DataCenterConfig::fromConfig(Config::parseString(R"(
+[network]
+fabric = fat_tree
+param = 4
+model = exact
+fast_path_kb = 64
+)")));
+    ASSERT_NE(dc.network(), nullptr);
+    bool done = false;
+    dc.network()->startFlow(0, 15, 1500, [&] { done = true; });
+    dc.run();
+    EXPECT_TRUE(done);
+    const NetSolverStats &ss = dc.network()->flows().solverStats();
+    EXPECT_EQ(ss.fastPathHits, 1u);
+    EXPECT_EQ(ss.resolves, 0u);
+}
+
 // -------------------------------------------------------- invariant auditor
 
 TEST(Auditor, CleanRunPassesEveryAudit)

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "dc/dc_config.hh"
-#include "network/flow_manager.hh"
+#include "network/net_model.hh"
 #include "network/network.hh"
 #include "sched/global_scheduler.hh"
 #include "sim/logging.hh"
@@ -140,7 +140,7 @@ TEST(FlowIntrospection, RatesAndUtilization)
     Simulator sim;
     auto topo = Topology::star(3, 1e9, 5 * usec);
     StaticRouting routing(topo);
-    FlowManager mgr(sim, topo);
+    NetModel mgr(sim, topo);
     auto route_a = routing.route(topo.serverNode(0),
                                  topo.serverNode(1), 1);
     auto route_b = routing.route(topo.serverNode(2),

@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "network/flow_manager.hh"
+#include "network/net_model.hh"
 #include "network/network.hh"
 #include "network/routing.hh"
 #include "sim/logging.hh"
@@ -302,7 +302,7 @@ directedPath(const Topology &topo, const Route &r)
  * Reference max-min water-filling, recomputed from scratch every
  * round: count unfrozen users per directed link, find the minimum
  * share, freeze exactly the flows crossing a minimum-share link, and
- * repeat. Deliberately independent of FlowManager's incremental
+ * repeat. Deliberately independent of NetModel's incremental
  * bookkeeping.
  */
 std::vector<double>
@@ -358,8 +358,8 @@ waterFill(const Topology &topo,
 }
 
 /**
- * Start every flow of @p routes in a FlowManager, activate them all
- * at tick 0 and compare each solver rate against the reference
+ * Start every flow of @p routes under each model tier, activate them
+ * all at tick 0 and compare each solver rate against the reference
  * water-filling allocation.
  */
 void
@@ -371,28 +371,33 @@ expectMatchesReference(const Topology &topo,
         paths.push_back(directedPath(topo, r));
     std::vector<double> expected = waterFill(topo, paths);
 
-    Simulator sim;
-    FlowManager mgr(sim, topo);
-    std::vector<FlowId> ids;
-    for (const Route &r : routes)
-        ids.push_back(mgr.startFlow(r, 1'000'000'000'000, [] {}));
-    sim.runUntil(0); // activations only; completions lie far out
-    for (std::size_t f = 0; f < ids.size(); ++f) {
-        SCOPED_TRACE("flow " + std::to_string(f));
-        double got = mgr.flowRate(ids[f]);
-        ASSERT_GT(expected[f], 0.0);
-        EXPECT_NEAR(got, expected[f], 1e-6 * expected[f]);
-    }
-    // No directed link may be oversubscribed.
-    std::vector<double> load(2 * topo.numLinks(), 0.0);
-    for (std::size_t f = 0; f < ids.size(); ++f) {
-        for (std::size_t dl : paths[f])
-            load[dl] += mgr.flowRate(ids[f]);
-    }
-    for (LinkId l = 0; l < topo.numLinks(); ++l) {
-        double cap = topo.link(l).rate;
-        EXPECT_LE(load[2 * l], cap * (1.0 + 1e-6));
-        EXPECT_LE(load[2 * l + 1], cap * (1.0 + 1e-6));
+    for (NetModelKind kind : {NetModelKind::exact, NetModelKind::fluid}) {
+        SCOPED_TRACE(toString(kind));
+        Simulator sim;
+        NetModelConfig cfg;
+        cfg.kind = kind;
+        NetModel mgr(sim, topo, cfg);
+        std::vector<FlowId> ids;
+        for (const Route &r : routes)
+            ids.push_back(mgr.startFlow(r, 1'000'000'000'000, [] {}));
+        sim.runUntil(0); // activations only; completions lie far out
+        for (std::size_t f = 0; f < ids.size(); ++f) {
+            SCOPED_TRACE("flow " + std::to_string(f));
+            double got = mgr.flowRate(ids[f]);
+            ASSERT_GT(expected[f], 0.0);
+            EXPECT_NEAR(got, expected[f], 1e-6 * expected[f]);
+        }
+        // No directed link may be oversubscribed.
+        std::vector<double> load(2 * topo.numLinks(), 0.0);
+        for (std::size_t f = 0; f < ids.size(); ++f) {
+            for (std::size_t dl : paths[f])
+                load[dl] += mgr.flowRate(ids[f]);
+        }
+        for (LinkId l = 0; l < topo.numLinks(); ++l) {
+            double cap = topo.link(l).rate;
+            EXPECT_LE(load[2 * l], cap * (1.0 + 1e-6));
+            EXPECT_LE(load[2 * l + 1], cap * (1.0 + 1e-6));
+        }
     }
 }
 
@@ -491,7 +496,7 @@ TEST(FlowFairness, ReshareIsOrderIndependent)
 
     auto ratesFor = [&](std::vector<std::size_t> order) {
         Simulator sim;
-        FlowManager mgr(sim, topo);
+        NetModel mgr(sim, topo);
         std::vector<FlowId> ids(order.size());
         for (std::size_t i : order)
             ids[i] = mgr.startFlow(routes[i], 1'000'000'000'000,

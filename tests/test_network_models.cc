@@ -1,23 +1,24 @@
 /**
  * @file
  * Differential tests for the selectable network-model tiers
- * (`[network] model = exact | fluid | hybrid`).
+ * (`[network] model = exact | fluid`).
  *
  * The contract under test:
  *
  *  - fluid vs exact: identical max-min allocations, so flow
  *    completion ticks agree within floating-point rounding. The
- *    fluid model settles only the dirty component at each change
- *    while the exact model settles every flow, so `remainingBits`
+ *    fluid tier settles only the dirty component at each change
+ *    while the exact tier settles every flow, so `remainingBits`
  *    accumulates through a different sequence of double additions;
  *    the divergence is bounded by ulp-level relative error. We
  *    assert agreement within 2 ticks + 1e-6 relative -- orders of
  *    magnitude looser than the observed drift, orders tighter than
  *    any behavioral difference.
  *
- *  - hybrid vs exact at fast-path threshold 0: the *same* code path
- *    (FlowManager with the fast path never taken), so completion
- *    tick sequences and solver counters must match exactly.
+ *  - golden digests: each tier, with and without the fast path,
+ *    reproduces the completion ticks and solver counters recorded
+ *    from the separate exact and fluid solvers that NetModel
+ *    replaced, bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -26,12 +27,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "network/flow_manager.hh"
-#include "network/fluid/fluid_flow_model.hh"
-#include "network/fluid/net_model.hh"
+#include "network/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/logging.hh"
@@ -51,7 +51,7 @@ makeBackend(Simulator &sim, const Topology &topo, NetModelKind kind,
     NetModelConfig cfg;
     cfg.kind = kind;
     cfg.fastPathBytes = fast_path;
-    return makeNetModel(sim, topo, cfg);
+    return std::make_unique<NetModel>(sim, topo, cfg);
 }
 
 /**
@@ -211,23 +211,93 @@ TEST_P(ModelEquivalence, FluidMatchesExactWithinTolerance)
     EXPECT_LE(fluid.stats.resolvedFlows, exact.stats.resolvedFlows);
 }
 
-/** hybrid with the fast path disabled is byte-identical to exact. */
-TEST_P(ModelEquivalence, HybridThresholdZeroIsExact)
+namespace {
+
+/**
+ * FNV-1a over the text of everything a run observably produced:
+ * completion ticks, abort marks, the completion count and all five
+ * solver counters.
+ */
+std::uint64_t
+runDigest(const RunResult &r)
 {
+    std::ostringstream os;
+    for (Tick t : r.doneAt)
+        os << t << ' ';
+    for (char a : r.aborted)
+        os << static_cast<int>(a);
+    os << ' ' << r.completed << ' ' << r.stats.resolves << ' '
+       << r.stats.resolvedFlows << ' ' << r.stats.dirtyLinks << ' '
+       << r.stats.maxDirtyFlows << ' ' << r.stats.fastPathHits;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : os.str()) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+struct GoldenDigests {
+    std::uint64_t seed;
+    std::uint64_t exact;
+    std::uint64_t fluid;
+    std::uint64_t fluidFast64k;
+    /** Fast path at 16 MB: some of the 10-50 MB flows take it. */
+    std::uint64_t exactFast16m;
+    std::uint64_t fluidFast16m;
+};
+
+/**
+ * Recorded from the two solvers NetModel replaced (the exact tier at
+ * 16 MB from the old exact-plus-fast-path tier). The 64 KiB fast path
+ * never fires on these >= 10 MB flows, so it must match plain fluid.
+ */
+constexpr GoldenDigests goldens[] = {
+    {1, 0xea4a1286283fad7eULL, 0xea548033ac8634deULL,
+     0xea548033ac8634deULL, 0x3b6a366acc90f7ddULL,
+     0x29c5817ee0853d65ULL},
+    {2, 0xc2cc66a8b45f3457ULL, 0xb5b349c48286af0dULL,
+     0xb5b349c48286af0dULL, 0xb337110078cd971dULL,
+     0xfff2e77413ace412ULL},
+    {3, 0x04ad01aca4aafd53ULL, 0x0e5357251bd00ed6ULL,
+     0x0e5357251bd00ed6ULL, 0xd08cfd3ab0314fe2ULL,
+     0x96658a0b732e68e4ULL},
+    {4, 0xf081a809accd2539ULL, 0x5fa17d991b04af11ULL,
+     0x5fa17d991b04af11ULL, 0x3e9f0c2ffb2b0ceeULL,
+     0xf73aee87f62dd9e3ULL},
+    {5, 0xc6f8c538330b5c36ULL, 0xe7053db8820f3856ULL,
+     0xe7053db8820f3856ULL, 0x7dd27e2ba50d4d0bULL,
+     0x241a0a378b3c0dd1ULL},
+    {6, 0x2d7b0811ab4e2edeULL, 0x2e16f6967de90895ULL,
+     0x2e16f6967de90895ULL, 0x0cbced18ce04c886ULL,
+     0x9d99eb5c79df4dffULL},
+    {7, 0x464983bd0bb9d19cULL, 0xa89711d1d7f3995fULL,
+     0xa89711d1d7f3995fULL, 0x14be6d0d877a4438ULL,
+     0x6339b6bd8459a5d9ULL},
+    {8, 0x0b0fec9822898801ULL, 0xed9f6a23b07e120eULL,
+     0xed9f6a23b07e120eULL, 0x5ee1ed31b5c2320bULL,
+     0x86b91247b5a99ff2ULL},
+};
+
+} // namespace
+
+/** Both tiers reproduce their recorded runs bit for bit. */
+TEST_P(ModelEquivalence, MatchesGoldenDigests)
+{
+    const GoldenDigests &g = goldens[GetParam() - 1];
+    ASSERT_EQ(g.seed, GetParam());
     Rng rng(GetParam());
     Topology topo = randomTopology(rng);
     auto script = randomScript(topo, rng, 24);
 
-    RunResult exact = runScript(topo, script, NetModelKind::exact);
-    RunResult hybrid =
-        runScript(topo, script, NetModelKind::hybrid, /*fast_path=*/0);
-
-    EXPECT_EQ(exact.doneAt, hybrid.doneAt);
-    EXPECT_EQ(exact.aborted, hybrid.aborted);
-    EXPECT_EQ(exact.completed, hybrid.completed);
-    EXPECT_EQ(exact.stats.resolves, hybrid.stats.resolves);
-    EXPECT_EQ(exact.stats.resolvedFlows, hybrid.stats.resolvedFlows);
-    EXPECT_EQ(hybrid.stats.fastPathHits, 0u);
+    auto digest = [&](NetModelKind kind, Bytes fast_path) {
+        return runDigest(runScript(topo, script, kind, fast_path));
+    };
+    EXPECT_EQ(digest(NetModelKind::exact, 0), g.exact);
+    EXPECT_EQ(digest(NetModelKind::fluid, 0), g.fluid);
+    EXPECT_EQ(digest(NetModelKind::fluid, 64 * 1024), g.fluidFast64k);
+    EXPECT_EQ(digest(NetModelKind::exact, 16'000'000), g.exactFast16m);
+    EXPECT_EQ(digest(NetModelKind::fluid, 16'000'000), g.fluidFast16m);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelEquivalence,
@@ -237,11 +307,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ModelEquivalence,
                                     std::to_string(info.param);
                          });
 
+/**
+ * Equal flows into one server's downlink finish on the same tick; the
+ * order in which each tier reschedules completions breaks the tie.
+ * Exact reschedules every active flow in FlowId order; fluid in the
+ * order its walk from the last-activated flow's links finds them.
+ */
+TEST(SameTickCompletions, FollowEachTiersRescheduleOrder)
+{
+    Topology topo = Topology::star(4, 1e9, lat);
+    StaticRouting routing(topo);
+    for (auto [kind, expected] :
+         {std::pair{NetModelKind::exact, std::vector<int>{0, 1, 2}},
+          std::pair{NetModelKind::fluid, std::vector<int>{2, 0, 1}}}) {
+        SCOPED_TRACE(toString(kind));
+        Simulator sim;
+        auto model = makeBackend(sim, topo, kind);
+        std::vector<int> order;
+        for (int i = 0; i < 3; ++i) {
+            model->startFlow(routing.route(topo.serverNode(i),
+                                           topo.serverNode(3)),
+                             1'000'000, [&order, i] { order.push_back(i); });
+        }
+        sim.run();
+        EXPECT_EQ(order, expected);
+    }
+}
+
 // ------------------------------------------------------------ fast path
 
 namespace {
 
-/** Fluid and hybrid share fast-path semantics; test both. */
+/** Both tiers share fast-path semantics; test both. */
 class FastPath : public ::testing::TestWithParam<NetModelKind>
 {};
 
@@ -290,8 +387,8 @@ TEST_P(FastPath, LargeTransferStillUsesSolver)
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, FastPath,
-                         ::testing::Values(NetModelKind::fluid,
-                                           NetModelKind::hybrid),
+                         ::testing::Values(NetModelKind::exact,
+                                           NetModelKind::fluid),
                          [](const auto &info) {
                              return toString(info.param);
                          });
@@ -418,14 +515,8 @@ TEST_F(FluidFixture, LinkFailureInvalidatesTouchedComponent)
 
     // s2's access link fails: flow b dies, flow a gets the trunk.
     EXPECT_EQ(model->abortFlowsOn(l_s2), 1u);
-    model->linkHealthChanged(l_s2, false);
     EXPECT_TRUE(b_aborted);
     EXPECT_EQ(model->flowsAborted(), 1u);
-    EXPECT_NEAR(model->flowRate(f_a), 1e9, 1e3);
-
-    // A repair on an untouched link must not disturb flow a's rate
-    // but is still counted as solver work.
-    model->linkHealthChanged(l_s2, true);
     EXPECT_NEAR(model->flowRate(f_a), 1e9, 1e3);
     (void)l_s0;
 }
@@ -467,24 +558,9 @@ TEST_F(FluidFixture, AbortFlowsOnKillsPendingFastPathFlows)
 
 TEST(NetModelKindStrings, RoundTrip)
 {
-    for (NetModelKind kind :
-         {NetModelKind::exact, NetModelKind::fluid,
-          NetModelKind::hybrid})
+    for (NetModelKind kind : {NetModelKind::exact, NetModelKind::fluid})
         EXPECT_EQ(parseNetModelKind(toString(kind)), kind);
     EXPECT_THROW(parseNetModelKind("packet"), FatalError);
-}
-
-TEST(NetModelFactory, BackendsReportTheirTier)
-{
-    Topology topo = Topology::star(2, 1e9, lat);
-    Simulator sim;
-    EXPECT_STREQ(
-        makeBackend(sim, topo, NetModelKind::exact)->modelName(),
-        "exact");
-    EXPECT_STREQ(
-        makeBackend(sim, topo, NetModelKind::fluid)->modelName(),
-        "fluid");
-    EXPECT_STREQ(makeBackend(sim, topo, NetModelKind::hybrid, 1024)
-                     ->modelName(),
-                 "hybrid");
+    // The exact tier takes the fast path itself now.
+    EXPECT_THROW(parseNetModelKind("hybrid"), FatalError);
 }

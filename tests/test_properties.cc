@@ -20,7 +20,7 @@
 #include "dc/pod_cluster.hh"
 #include "fault/fault_manager.hh"
 #include "fault/fault_model.hh"
-#include "network/fluid/net_model.hh"
+#include "network/net_model.hh"
 #include "network/network.hh"
 #include "network/routing.hh"
 #include "sched/dispatch_policy.hh"
@@ -432,7 +432,7 @@ class FairShareProperty
     {
         NetModelConfig cfg;
         cfg.kind = std::get<0>(GetParam());
-        return makeNetModel(sim, topo, cfg);
+        return std::make_unique<NetModel>(sim, topo, cfg);
     }
 
     /** Dense directed-link index of each hop of @p r. */
