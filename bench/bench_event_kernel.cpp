@@ -16,11 +16,12 @@
  *    star fabric, as in examples/three_tier.cpp) run end to end on
  *    each backend. The per-request statistics must be bit-identical;
  *    events-per-host-second is reported per backend.
- *  - replay (wheel): the same fleet with the governor timers riding
- *    the shared timer wheel. At unit granularity the workload
- *    statistics must match the per-event timer discipline exactly
- *    (same gate as the backend equivalence); at coarse granularity
- *    the coalesced tick count and throughput are reported.
+ *  - replay (wheel): the same fleet with the governor timers batched
+ *    on the Simulator's timer wheel (Simulator::setTimerGranularity).
+ *    At unit granularity the workload statistics must match exact
+ *    kernel-event timers (same gate as the backend equivalence); at
+ *    coarse granularity the coalesced tick count and throughput are
+ *    reported.
  *  - warehouse: a --servers=N flat fleet (default 100k x 4 cores)
  *    driven by synchronized task waves, so every core's idle-demotion
  *    ladder re-arms at once. The wheel must complete the same work
@@ -62,7 +63,6 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
-#include "sim/timer_wheel.hh"
 #include "workload/service.hh"
 
 using namespace holdcsim;
@@ -227,7 +227,7 @@ struct ReplayStats {
     Tick endTick = 0;
     double latMean = 0.0, latP50 = 0.0, latP95 = 0.0, latP99 = 0.0;
     double wallSeconds = 0.0;
-    /** Wheel counters (zero when running per-event timers). */
+    /** Wheel counters (zero when running exact timers). */
     std::uint64_t wheelTickEvents = 0;
     std::uint64_t wheelFired = 0;
 
@@ -265,20 +265,14 @@ struct ReplayStats {
 
 /** The three_tier example fleet, shrunk into a harness: 12 typed
  *  servers behind a star switch serving web->app->db request chains.
- *  @p wheel_granularity 0 keeps per-event timers; otherwise the
- *  governor ladders ride a shared wheel with that bucket width. */
+ *  @p wheel_granularity 0 keeps exact timers; otherwise the
+ *  governor ladders ride the timer wheel with that bucket width. */
 ReplayStats
 runReplay(EventQueue::Backend backend, std::size_t n_requests,
           Tick wheel_granularity = 0)
 {
     Simulator sim(backend);
-    // Declared before every entity so the handles entities still hold
-    // at teardown outlive them.
-    std::unique_ptr<TimerWheel> wheel;
-    if (wheel_granularity > 0) {
-        wheel = std::make_unique<TimerWheel>(sim, wheel_granularity);
-        sim.setTimerWheel(wheel.get());
-    }
+    sim.setTimerGranularity(wheel_granularity);
     ServerPowerProfile profile;
     Topology topo = Topology::star(12, 1e9, 5 * usec);
     Network net(sim, std::move(topo),
@@ -331,7 +325,7 @@ runReplay(EventQueue::Backend backend, std::size_t n_requests,
     s.latP50 = lat.p50();
     s.latP95 = lat.p95();
     s.latP99 = lat.p99();
-    if (wheel) {
+    if (const TimerWheel *wheel = sim.timerWheel()) {
         s.wheelTickEvents = wheel->stats().tickEvents;
         s.wheelFired = wheel->stats().fired;
     }
@@ -369,11 +363,7 @@ runWarehouse(std::size_t n_servers, unsigned waves,
              Tick wheel_granularity)
 {
     Simulator sim(EventQueue::Backend::calendar);
-    std::unique_ptr<TimerWheel> wheel;
-    if (wheel_granularity > 0) {
-        wheel = std::make_unique<TimerWheel>(sim, wheel_granularity);
-        sim.setTimerWheel(wheel.get());
-    }
+    sim.setTimerGranularity(wheel_granularity);
     ServerPowerProfile profile;
     std::vector<std::unique_ptr<Server>> servers;
     servers.reserve(n_servers);
@@ -413,7 +403,7 @@ runWarehouse(std::size_t n_servers, unsigned waves,
     w.completions = completions;
     w.eventsProcessed = sim.eventsProcessed();
     w.endTick = sim.curTick();
-    if (wheel) {
+    if (const TimerWheel *wheel = sim.timerWheel()) {
         w.wheelTickEvents = wheel->stats().tickEvents;
         w.wheelFired = wheel->stats().fired;
         w.wheelMaxBatch = wheel->stats().maxBatch;
@@ -580,7 +570,7 @@ main(int argc, char **argv)
     if (!replay_wheel1.equivalentTo(replay_cal)) {
         std::fprintf(stderr,
                      "FAIL: unit-granularity wheel replay diverges "
-                     "from per-event timers (jobs %llu/%llu, end tick "
+                     "from exact timers (jobs %llu/%llu, end tick "
                      "%llu/%llu, mean latency %.17g/%.17g)\n",
                      (unsigned long long)replay_wheel1.jobs,
                      (unsigned long long)replay_cal.jobs,
@@ -603,7 +593,7 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    // ---- warehouse fleet: events vs. wheel at 100k x 4 cores ----
+    // ---- warehouse fleet: exact vs. wheel at 100k x 4 cores ----
     WarehouseStats wh_events =
         runWarehouse(warehouse_servers, warehouse_waves, 0);
     WarehouseStats wh_wheel = runWarehouse(

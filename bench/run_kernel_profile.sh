@@ -35,14 +35,14 @@ cmake --build "$BUILD_DIR" -j --target three_tier bench_event_kernel
     --queue=heap
 "$BUILD_DIR"/examples/three_tier --profile=profile_cal.json.tmp \
     --queue=calendar
-# Same fleet with the governor ladders on the shared wheel at a
+# Same fleet with the governor timers batched on the timer wheel at a
 # coarse 1 ms bucket: the per-core demotion and per-port LPI events
 # collapse into shared boundary ticks.
 "$BUILD_DIR"/examples/three_tier --profile=profile_wheel.json.tmp \
-    --queue=calendar --timer-mode=wheel --wheel-granularity-us=1000
+    --queue=calendar --wheel-granularity-us=1000
 # The microbench exits nonzero if the two backends ever pop in a
 # different order, the replay stats differ by a single bit, or the
-# unit-granularity wheel diverges from per-event timers. Includes the
+# unit-granularity wheel diverges from exact timers. Includes the
 # 100k-server warehouse point.
 "$BUILD_DIR"/bench/bench_event_kernel --json=kernel_micro.json.tmp
 

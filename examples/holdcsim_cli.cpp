@@ -119,13 +119,12 @@ options:
                         autoscaler; implies --orch
   --profile             profile the DES kernel; adds profile.* stats
                         and a hot-events table to the dump
-  --timer-mode=M        governor timer discipline: events (default;
-                        one kernel event per timeout) | wheel
-                        (coalesce onto a shared timer wheel; adds
-                        profile.wheel.* stats under --profile)
   --wheel-granularity-us=N
-                        wheel bucket width in us (default 0.001 =
-                        1 ns, exact firing)
+                        governor timer bucket width in us: 0
+                        (default) fires each timeout exactly as its
+                        own kernel event; N > 0 batches timeouts on a
+                        timer wheel, each up to N us late (adds
+                        profile.wheel.* stats under --profile)
   --jobs=N              run experiment cells on N worker threads
                         (0 = one per hardware thread; default 1)
   --replicas=R          run R replications per sweep point, each
@@ -439,8 +438,6 @@ main(int argc, char **argv)
             overrides.emplace_back("orch.autoscale", "true");
         } else if (arg == "--profile") {
             overrides.emplace_back("telemetry.profile", "true");
-        } else if (valueFlag(arg, "timer-mode", value)) {
-            overrides.emplace_back("datacenter.timer_mode", value);
         } else if (valueFlag(arg, "wheel-granularity-us", value)) {
             overrides.emplace_back("datacenter.wheel_granularity_us",
                                    value);

@@ -22,7 +22,6 @@
 
 #include "dc/datacenter.hh"
 #include "sim/logging.hh"
-#include "sim/timer_wheel.hh"
 #include "telemetry/profiler.hh"
 #include "workload/service.hh"
 
@@ -43,14 +42,13 @@ main(int argc, char **argv)
     // summary to FILE (stdout when omitted); used by
     // bench/run_kernel_profile.sh. --queue=heap|calendar selects the
     // event-queue backend so the script can record before/after
-    // events-per-host-second. --timer-mode=wheel coalesces the
-    // governor timers onto a shared wheel (bucket width set by
-    // --wheel-granularity-us; 0 = exact 1-tick buckets).
+    // events-per-host-second. --wheel-granularity-us=N batches the
+    // governor timers onto the Simulator's timer wheel in N-us
+    // buckets (0, the default, fires each timer exactly).
     bool profile_on = false;
     std::string profile_out;
     auto backend = EventQueue::Backend::calendar;
-    bool use_wheel = false;
-    Tick wheel_granularity = 1;
+    Tick wheel_granularity = 0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--profile") {
@@ -62,22 +60,16 @@ main(int argc, char **argv)
             backend = EventQueue::Backend::binaryHeap;
         } else if (arg == "--queue=calendar") {
             backend = EventQueue::Backend::calendar;
-        } else if (arg == "--timer-mode=wheel") {
-            use_wheel = true;
-        } else if (arg == "--timer-mode=events") {
-            use_wheel = false;
         } else if (arg.rfind("--wheel-granularity-us=", 0) == 0) {
-            double us = std::stod(arg.substr(23));
+            Config flag;
+            flag.set("wheel_granularity_us", arg.substr(23));
             wheel_granularity =
-                us <= 0.0 ? 1
-                          : static_cast<Tick>(
-                                us * static_cast<double>(usec));
+                flag.getDuration("wheel_granularity_us", usec);
         } else {
             std::fprintf(stderr,
                          "usage: three_tier [--profile[=FILE]] "
                          "[--queue=heap|calendar] "
-                         "[--timer-mode=events|wheel] "
-                         "[--wheel-granularity-us=N]\n");
+                         "[--wheel-granularity-us=N (0 = exact)]\n");
             return 2;
         }
     }
@@ -86,11 +78,7 @@ main(int argc, char **argv)
     // (DataCenter builds untyped servers, so build this fleet by
     // hand to show the lower-level API).
     Simulator sim(backend);
-    std::unique_ptr<TimerWheel> wheel;
-    if (use_wheel) {
-        wheel = std::make_unique<TimerWheel>(sim, wheel_granularity);
-        sim.setTimerWheel(wheel.get());
-    }
+    sim.setTimerGranularity(wheel_granularity);
     ServerPowerProfile profile;
     Topology topo = Topology::star(12, 1e9, 5 * usec);
     Network net(sim, std::move(topo),
@@ -181,13 +169,13 @@ main(int argc, char **argv)
     if (profile_on) {
         if (profile_out.empty()) {
             profiler.dumpJson(std::cout, wall_s, &sim.eventQueue(),
-                              wheel.get());
+                              sim.timerWheel());
         } else {
             std::ofstream os(profile_out);
             if (!os)
                 fatal("cannot open '", profile_out, "' for writing");
             profiler.dumpJson(os, wall_s, &sim.eventQueue(),
-                              wheel.get());
+                              sim.timerWheel());
         }
         std::printf("kernel events      : %llu (%.0f events/s host)\n",
                     static_cast<unsigned long long>(

@@ -89,14 +89,10 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         _sim.setProbe(_profiler.get());
     }
 
-    // The shared governor timer wheel must be installed before any
-    // entity that arms power-state timeouts is built: pools, line
-    // cards and switches latch the wheel pointer at construction.
-    if (_config.timerMode == DataCenterConfig::TimerMode::wheel) {
-        _wheel = std::make_unique<TimerWheel>(_sim,
-                                              _config.wheelGranularity);
-        _sim.setTimerWheel(_wheel.get());
-    }
+    // Governor timer granularity must be set before any entity arms
+    // a power-state timeout (pools, line cards and switches arm at
+    // construction).
+    _sim.setTimerGranularity(_config.wheelGranularity);
 
     // Fabric first: topologies dictate the server count.
     if (_config.fabric != DataCenterConfig::Fabric::none) {
@@ -136,32 +132,6 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         _net = std::make_unique<Network>(_sim, std::move(topo),
                                          _config.switchProfile,
                                          _config.netConfig);
-    }
-
-    // Parallel-kernel partition plan. Derived and validated eagerly
-    // so an unsplittable fabric or an unsound lookahead override
-    // fails here, not deep inside a campaign; the monolithic
-    // DataCenter itself keeps executing sequentially (the partitioned
-    // execution path is PodCluster, which builds one Simulator per
-    // partition -- see docs/DESIGN.md).
-    if (_config.pdes.enabled()) {
-        _partitionPlan = std::make_unique<PartitionMap>(
-            PartitionMap::derive(_net->topology()));
-        if (!_partitionPlan->splittable())
-            fatal("pdes_mode=pods: ", _partitionPlan->reason());
-        if (_config.pdes.partitions > _partitionPlan->pods())
-            fatal("pdes_mode=pods:", _config.pdes.partitions,
-                  " but the topology only has ",
-                  _partitionPlan->pods(), " pods");
-        if (_config.pdes.lookahead > _partitionPlan->lookahead())
-            fatal("pdes_lookahead_us=", _config.pdes.lookahead / usec,
-                  " exceeds the derived lookahead of ",
-                  _partitionPlan->lookahead() / usec,
-                  " us; a window wider than the minimum cross-pod "
-                  "latency breaks the conservative guarantee");
-        inform("pdes: ", _partitionPlan->pods(), " pods, lookahead ",
-               _partitionPlan->lookahead() / usec,
-               " us (plan only; this DataCenter runs sequentially)");
     }
 
     for (unsigned i = 0; i < _config.nServers; ++i) {
@@ -514,8 +484,8 @@ DataCenter::dumpStats(std::ostream &os)
         StatGroup profile_group("profile");
         _profiler->addStats(profile_group);
         KernelProfiler::addQueueStats(profile_group, _sim.eventQueue());
-        if (_wheel)
-            KernelProfiler::addWheelStats(profile_group, *_wheel);
+        if (const TimerWheel *wheel = _sim.timerWheel())
+            KernelProfiler::addWheelStats(profile_group, *wheel);
         profile_group.dump(os);
         _profiler->dumpHotTable(os);
     }

@@ -20,7 +20,6 @@
 #include "fault/fault_manager.hh"
 #include "metrics.hh"
 #include "network/network.hh"
-#include "network/partition_map.hh"
 #include "orch/orchestrator.hh"
 #include "sched/global_scheduler.hh"
 #include "server/power_controller.hh"
@@ -28,7 +27,6 @@
 #include "sim/auditor.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
-#include "sim/timer_wheel.hh"
 #include "telemetry/profiler.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/trace_manager.hh"
@@ -70,20 +68,6 @@ class DataCenter
     KernelProfiler *profiler() { return _profiler.get(); }
     /** Null unless config.audit.enabled. */
     InvariantAuditor *auditor() { return _auditor.get(); }
-    /** Null unless config.timerMode == TimerMode::wheel. */
-    TimerWheel *timerWheel() { return _wheel.get(); }
-    /**
-     * The pod cut derived from the fabric (null unless
-     * config.pdes.enabled()). The monolithic DataCenter still
-     * executes on the sequential kernel -- the plan is derived and
-     * validated here so a mis-partitionable topology or an unsound
-     * lookahead override fails at construction, and so harnesses
-     * built on PodCluster (src/dc/pod_cluster.hh) can share it.
-     */
-    const PartitionMap *partitionPlan() const
-    {
-        return _partitionPlan.get();
-    }
     const DataCenterConfig &config() const { return _config; }
     ///@}
 
@@ -152,13 +136,6 @@ class DataCenter
     DataCenterConfig _config;
     Simulator _sim;
     /**
-     * Shared governor timer wheel (timer_mode=wheel only). Declared
-     * directly after the engine: every pool/card/switch latches the
-     * pointer at construction and cancels its handles before this
-     * dtor runs.
-     */
-    std::unique_ptr<TimerWheel> _wheel;
-    /**
      * Telemetry sits between the engine and the plant: constructed
      * before (destroyed after) every component that may emit trace
      * records in its state machinery.
@@ -167,7 +144,6 @@ class DataCenter
     std::unique_ptr<KernelProfiler> _profiler;
     std::unique_ptr<Sampler> _sampler;
     std::unique_ptr<Network> _net;
-    std::unique_ptr<PartitionMap> _partitionPlan;
     std::vector<std::unique_ptr<Server>> _servers;
     std::vector<Server *> _serverPtrs;
     /** Jitter stream handed to the scheduler; must outlive it. */

@@ -8,6 +8,18 @@
 
 namespace holdcsim {
 
+namespace {
+
+[[noreturn]] void
+rejectPdes(const std::string &setting)
+{
+    fatal(setting, ": DataCenter runs on the sequential kernel; "
+          "partitioned (PDES) execution exists only in PodCluster "
+          "(src/dc/pod_cluster.hh)");
+}
+
+} // namespace
+
 void
 DataCenterConfig::validate() const
 {
@@ -92,15 +104,9 @@ DataCenterConfig::validate() const
         if (audit.energyTolerance < 0.0)
             fatal("audit.energy_tolerance must be non-negative");
     }
-    if (wheelGranularity == 0)
-        fatal("datacenter.wheel_granularity_us must be positive");
-    if (pdes.enabled()) {
-        if (pdes.partitions == 0)
-            fatal("datacenter.pdes_mode pods:N needs N >= 1");
-        if (fabric == Fabric::none)
-            fatal("datacenter.pdes_mode pods requires a fabric (the "
-                  "partition cut is derived from the topology)");
-    }
+    if (pdes.enabled())
+        rejectPdes("datacenter.pdes_mode = pods:" +
+                   std::to_string(pdes.partitions));
     if (mc.strategy != "boundary" && mc.strategy != "pairwise" &&
         mc.strategy != "exhaustive" && mc.strategy != "random") {
         fatal("unknown mc.strategy '", mc.strategy, "'");
@@ -131,18 +137,8 @@ DataCenterConfig::fromConfig(const Config &cfg)
     out.seed = static_cast<std::uint64_t>(
         cfg.getInt("datacenter.seed", static_cast<std::int64_t>(out.seed)));
 
-    std::string tm = cfg.getString("datacenter.timer_mode", "events");
-    if (tm == "events")
-        out.timerMode = TimerMode::events;
-    else if (tm == "wheel")
-        out.timerMode = TimerMode::wheel;
-    else
-        fatal("unknown datacenter.timer_mode '", tm, "'");
-    if (cfg.has("datacenter.wheel_granularity_us")) {
-        out.wheelGranularity = static_cast<Tick>(
-            cfg.getDouble("datacenter.wheel_granularity_us") *
-            static_cast<double>(usec));
-    }
+    out.wheelGranularity = cfg.getDuration(
+        "datacenter.wheel_granularity_us", usec, out.wheelGranularity);
 
     std::string pm = cfg.getString("datacenter.pdes_mode", "off");
     if (pm == "off") {
@@ -160,11 +156,8 @@ DataCenterConfig::fromConfig(const Config &cfg)
         fatal("unknown datacenter.pdes_mode '", pm,
               "' (expected off or pods:N)");
     }
-    if (cfg.has("datacenter.pdes_lookahead_us")) {
-        out.pdes.lookahead = static_cast<Tick>(
-            cfg.getDouble("datacenter.pdes_lookahead_us") *
-            static_cast<double>(usec));
-    }
+    if (cfg.has("datacenter.pdes_lookahead_us"))
+        rejectPdes("datacenter.pdes_lookahead_us");
 
     std::string qm = cfg.getString("server.queue_mode", "unified");
     if (qm == "unified")
@@ -191,10 +184,8 @@ DataCenterConfig::fromConfig(const Config &cfg)
         out.controller = Controller::delayTimer;
     else
         fatal("unknown server.controller '", ctrl, "'");
-    if (cfg.has("server.tau_ms")) {
-        out.delayTimerTau = static_cast<Tick>(
-            cfg.getDouble("server.tau_ms") * static_cast<double>(msec));
-    }
+    out.delayTimerTau =
+        cfg.getDuration("server.tau_ms", msec, out.delayTimerTau);
 
     std::string pol = cfg.getString("scheduler.policy", "least_loaded");
     if (pol == "round_robin")
@@ -233,16 +224,10 @@ DataCenterConfig::fromConfig(const Config &cfg)
         cfg.getInt("network.param2", out.fabricParam2));
     if (cfg.has("network.link_rate_gbps"))
         out.linkRate = cfg.getDouble("network.link_rate_gbps") * 1e9;
-    if (cfg.has("network.link_latency_us")) {
-        out.linkLatency = static_cast<Tick>(
-            cfg.getDouble("network.link_latency_us") *
-            static_cast<double>(usec));
-    }
-    if (cfg.has("network.switch_sleep_ms")) {
-        out.netConfig.switchSleepDelay = static_cast<Tick>(
-            cfg.getDouble("network.switch_sleep_ms") *
-            static_cast<double>(msec));
-    }
+    out.linkLatency =
+        cfg.getDuration("network.link_latency_us", usec, out.linkLatency);
+    out.netConfig.switchSleepDelay = cfg.getDuration(
+        "network.switch_sleep_ms", msec, out.netConfig.switchSleepDelay);
     out.netConfig.netModel.kind = parseNetModelKind(
         cfg.getString("network.model", "exact"));
     if (cfg.has("network.fast_path_kb")) {
@@ -275,29 +260,17 @@ DataCenterConfig::fromConfig(const Config &cfg)
     out.fault.maxRetries = static_cast<unsigned>(cfg.getInt(
         "fault.max_retries",
         static_cast<std::int64_t>(out.fault.maxRetries)));
-    if (cfg.has("fault.retry_backoff_base_ms")) {
-        out.fault.retryBackoffBase = static_cast<Tick>(
-            cfg.getDouble("fault.retry_backoff_base_ms") *
-            static_cast<double>(msec));
-    }
-    if (cfg.has("fault.retry_backoff_max_ms")) {
-        out.fault.retryBackoffMax = static_cast<Tick>(
-            cfg.getDouble("fault.retry_backoff_max_ms") *
-            static_cast<double>(msec));
-    }
-    if (cfg.has("fault.task_timeout_ms")) {
-        out.fault.taskTimeout = static_cast<Tick>(
-            cfg.getDouble("fault.task_timeout_ms") *
-            static_cast<double>(msec));
-    }
+    out.fault.retryBackoffBase = cfg.getDuration(
+        "fault.retry_backoff_base_ms", msec, out.fault.retryBackoffBase);
+    out.fault.retryBackoffMax = cfg.getDuration(
+        "fault.retry_backoff_max_ms", msec, out.fault.retryBackoffMax);
+    out.fault.taskTimeout =
+        cfg.getDuration("fault.task_timeout_ms", msec, out.fault.taskTimeout);
 
     out.orch.placement =
         cfg.getString("orch.placement", out.orch.placement);
-    if (cfg.has("orch.reconcile_ms")) {
-        out.orch.reconcilePeriod = static_cast<Tick>(
-            cfg.getDouble("orch.reconcile_ms") *
-            static_cast<double>(msec));
-    }
+    out.orch.reconcilePeriod =
+        cfg.getDuration("orch.reconcile_ms", msec, out.orch.reconcilePeriod);
     out.orch.overcommit =
         cfg.getDouble("orch.overcommit", out.orch.overcommit);
     out.orch.interference =
@@ -366,11 +339,8 @@ DataCenterConfig::fromConfig(const Config &cfg)
         "telemetry.trace_categories", out.telemetry.traceCategories);
     out.telemetry.sampleOut =
         cfg.getString("telemetry.sample_out", out.telemetry.sampleOut);
-    if (cfg.has("telemetry.sample_period_ms")) {
-        out.telemetry.samplePeriod = static_cast<Tick>(
-            cfg.getDouble("telemetry.sample_period_ms") *
-            static_cast<double>(msec));
-    }
+    out.telemetry.samplePeriod = cfg.getDuration(
+        "telemetry.sample_period_ms", msec, out.telemetry.samplePeriod);
     out.telemetry.profile =
         cfg.getBool("telemetry.profile", out.telemetry.profile);
     // Any configured output turns telemetry on unless an explicit
@@ -381,29 +351,20 @@ DataCenterConfig::fromConfig(const Config &cfg)
                                  out.telemetry.profile);
 
     out.audit.enabled = cfg.getBool("audit.enabled", out.audit.enabled);
-    if (cfg.has("audit.period_ms")) {
-        out.audit.period = static_cast<Tick>(
-            cfg.getDouble("audit.period_ms") *
-            static_cast<double>(msec));
-    }
+    out.audit.period =
+        cfg.getDuration("audit.period_ms", msec, out.audit.period);
     out.audit.fatal = cfg.getBool("audit.fatal", out.audit.fatal);
     out.audit.energyTolerance = cfg.getDouble(
         "audit.energy_tolerance", out.audit.energyTolerance);
 
     out.mc.strategy = cfg.getString("mc.strategy", out.mc.strategy);
-    if (cfg.has("mc.horizon_ms")) {
-        out.mc.horizon = static_cast<Tick>(
-            cfg.getDouble("mc.horizon_ms") * static_cast<double>(msec));
-    }
+    out.mc.horizon = cfg.getDuration("mc.horizon_ms", msec, out.mc.horizon);
     out.mc.budget = static_cast<std::uint64_t>(cfg.getInt(
         "mc.budget", static_cast<std::int64_t>(out.mc.budget)));
     out.mc.eventBudget = static_cast<std::uint64_t>(cfg.getInt(
         "mc.event_budget",
         static_cast<std::int64_t>(out.mc.eventBudget)));
-    if (cfg.has("mc.repair_ms")) {
-        out.mc.repair = static_cast<Tick>(
-            cfg.getDouble("mc.repair_ms") * static_cast<double>(msec));
-    }
+    out.mc.repair = cfg.getDuration("mc.repair_ms", msec, out.mc.repair);
     out.mc.maxFaults = static_cast<unsigned>(cfg.getInt(
         "mc.max_faults", static_cast<std::int64_t>(out.mc.maxFaults)));
     out.mc.seedBug = cfg.getBool("mc.seed_bug", out.mc.seedBug);
@@ -418,16 +379,10 @@ DataCenterConfig::fromConfig(const Config &cfg)
     out.campaign.maxAttempts = static_cast<unsigned>(cfg.getInt(
         "campaign.max_attempts",
         static_cast<std::int64_t>(out.campaign.maxAttempts)));
-    if (cfg.has("campaign.retry_backoff_base_ms")) {
-        out.campaign.retryBackoffBase = static_cast<Tick>(
-            cfg.getDouble("campaign.retry_backoff_base_ms") *
-            static_cast<double>(msec));
-    }
-    if (cfg.has("campaign.retry_backoff_max_ms")) {
-        out.campaign.retryBackoffMax = static_cast<Tick>(
-            cfg.getDouble("campaign.retry_backoff_max_ms") *
-            static_cast<double>(msec));
-    }
+    out.campaign.retryBackoffBase = cfg.getDuration(
+        "campaign.retry_backoff_base_ms", msec, out.campaign.retryBackoffBase);
+    out.campaign.retryBackoffMax = cfg.getDuration(
+        "campaign.retry_backoff_max_ms", msec, out.campaign.retryBackoffMax);
 
     out.validate();
     return out;
@@ -439,8 +394,8 @@ namespace {
 const char *const knownConfigKeys[] = {
     // clang-format off
     "datacenter.servers", "datacenter.cores", "datacenter.seed",
-    "datacenter.timer_mode", "datacenter.wheel_granularity_us",
-    "datacenter.pdes_mode", "datacenter.pdes_lookahead_us",
+    "datacenter.wheel_granularity_us", "datacenter.pdes_mode",
+    "datacenter.pdes_lookahead_us",
     "server.queue_mode", "server.core_pick", "server.allow_pkg_c6",
     "server.controller", "server.tau_ms",
     "scheduler.policy", "scheduler.global_queue",

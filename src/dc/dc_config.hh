@@ -53,38 +53,31 @@ struct DataCenterConfig {
     bool taskAntiAffinity = false;
     ///@}
 
-    /** @name Kernel timer discipline */
+    /** @name Governor timer granularity */
     ///@{
     /**
-     * How power-state governor timeouts (core demotion, port LPI,
-     * line card / switch sleep) are scheduled: one kernel event per
-     * timeout (events), or coalesced onto a shared hierarchical
-     * timer wheel (wheel). With wheelGranularity = 1 the wheel is
-     * statistics-identical to events mode; coarser buckets trade
-     * firing exactness (quantized up) for fewer kernel events.
+     * Bucket width for power-state governor timeouts (core demotion,
+     * port LPI, line card / switch sleep). 0 (the default) fires each
+     * timeout exactly, as its own kernel event; G > 0 batches them on
+     * the Simulator's timer wheel, quantizing deadlines up to
+     * multiples of G: fewer kernel events, each transition up to G
+     * late. G = 1 tick is statistics-identical to exact.
      */
-    enum class TimerMode { events, wheel };
-    TimerMode timerMode = TimerMode::events;
-    /** Wheel bucket width (default 1 ns = exact firing). */
-    Tick wheelGranularity = 1;
+    Tick wheelGranularity = 0;
     ///@}
 
-    /** @name Parallel kernel (conservative PDES, src/sim/pdes) */
+    /** @name Parallel kernel (rejected on DataCenter) */
     ///@{
+    /**
+     * pdes_mode = pods:N parses into these fields only so validate()
+     * can reject it: DataCenter runs on the sequential kernel, and
+     * partitioned execution exists only in PodCluster.
+     */
     struct PdesSettings {
         enum class Mode { off, pods };
-        /** off = sequential kernel (bit-identical to older builds). */
         Mode mode = Mode::off;
-        /** Worker/partition count for Mode::pods (>= 1). */
+        /** Partition count N of pods:N. */
         unsigned partitions = 1;
-        /**
-         * Lookahead override; 0 derives it from the topology (the
-         * minimum pod-to-core link latency, see PartitionMap). A
-         * nonzero override must not exceed the derived value or the
-         * conservative guarantee breaks; it is validated against the
-         * topology at plant construction.
-         */
-        Tick lookahead = 0;
 
         bool enabled() const { return mode == Mode::pods; }
     };
@@ -304,8 +297,9 @@ struct DataCenterConfig {
      * Load from parsed INI text. Recognized keys (all optional):
      *
      *   [datacenter] servers, cores, seed,
-     *                timer_mode (events|wheel), wheel_granularity_us,
-     *                pdes_mode (off|pods:N), pdes_lookahead_us
+     *                wheel_granularity_us (0 = exact timers),
+     *                pdes_mode (off; pods:N and pdes_lookahead_us
+     *                are rejected: see PodCluster)
      *   [server]     queue_mode (unified|per_core),
      *                core_pick (round_robin|least_loaded),
      *                allow_pkg_c6,

@@ -8,21 +8,13 @@ namespace holdcsim {
 
 namespace {
 
-Tick
-msKey(const Config &cfg, const std::string &key, Tick fallback)
-{
-    if (!cfg.has(key))
-        return fallback;
-    return static_cast<Tick>(cfg.getDouble(key) *
-                             static_cast<double>(msec));
-}
-
 std::shared_ptr<ServiceModel>
 makeService(const Config &cfg, std::uint64_t seed)
 {
     std::string kind = cfg.getString("workload.service", "exponential");
-    Tick mean = msKey(cfg, "workload.service_mean_ms", 5 * msec);
-    Tick hi = msKey(cfg, "workload.service_max_ms", 4 * mean);
+    Tick mean =
+        cfg.getDuration("workload.service_mean_ms", msec, 5 * msec);
+    Tick hi = cfg.getDuration("workload.service_max_ms", msec, 4 * mean);
     Rng rng(seed, "workload.service");
     if (kind == "exponential")
         return std::make_shared<ExponentialService>(mean, rng);
@@ -182,10 +174,10 @@ serverProfileFromConfig(const Config &cfg)
     w("platform_s0_w", p.platformS0);
     w("platform_s3_w", p.platformS3);
     w("platform_s5_w", p.platformS5);
-    p.s3WakeLatency =
-        msKey(cfg, "server_power.s3_wake_ms", p.s3WakeLatency);
-    p.s3EntryLatency =
-        msKey(cfg, "server_power.s3_entry_ms", p.s3EntryLatency);
+    p.s3WakeLatency = cfg.getDuration("server_power.s3_wake_ms", msec,
+                                      p.s3WakeLatency);
+    p.s3EntryLatency = cfg.getDuration("server_power.s3_entry_ms", msec,
+                                       p.s3EntryLatency);
     p.validate();
     return p;
 }
@@ -204,11 +196,10 @@ switchProfileFromConfig(const Config &cfg)
     w("linecard_sleep_w", p.linecardSleep);
     w("port_active_w", p.portActive);
     w("port_lpi_w", p.portLpi);
-    p.switchWakeLatency = msKey(cfg, "switch_power.switch_wake_ms",
-                                p.switchWakeLatency);
-    p.linecardWakeLatency =
-        msKey(cfg, "switch_power.linecard_wake_ms",
-              p.linecardWakeLatency);
+    p.switchWakeLatency = cfg.getDuration("switch_power.switch_wake_ms",
+                                          msec, p.switchWakeLatency);
+    p.linecardWakeLatency = cfg.getDuration(
+        "switch_power.linecard_wake_ms", msec, p.linecardWakeLatency);
     p.validate();
     return p;
 }

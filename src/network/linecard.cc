@@ -10,54 +10,17 @@ LineCard::LineCard(Simulator &sim, unsigned id,
     : _sim(sim), _id(id), _profile(profile),
       _accrue(std::move(accrue)),
       _stateChanged(std::move(state_changed)),
-      _wheel(sim.timerWheel()),
-      _sleepEvent([this] { sleepDeadline(); }, "linecard.sleep",
-                  Event::powerPriority)
+      _sleepEvent([this] {
+          if (!anyPortActive() && _state == LineCardState::active)
+              setState(LineCardState::sleep);
+      }, "linecard.sleep", Event::powerPriority)
 {
     _residency.enter(static_cast<int>(_state), sim.curTick());
 }
 
 LineCard::~LineCard()
 {
-    if (_sleepEvent.scheduled())
-        _sim.deschedule(_sleepEvent);
-    if (_wheel)
-        _wheel->cancel(_sleepHandle);
-}
-
-void
-LineCard::sleepDeadline()
-{
-    if (!anyPortActive() && _state == LineCardState::active)
-        setState(LineCardState::sleep);
-}
-
-void
-LineCard::timerFired(std::uint64_t, Tick)
-{
-    _sleepHandle = {}; // the firing handle is already dead
-    sleepDeadline();
-}
-
-void
-LineCard::armSleep(Tick delay)
-{
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-        _sleepHandle = _wheel->arm(*this, 0, delay);
-    } else {
-        _sim.reschedule(_sleepEvent, _sim.curTick() + delay);
-    }
-}
-
-void
-LineCard::cancelSleep()
-{
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-    } else if (_sleepEvent.scheduled()) {
-        _sim.deschedule(_sleepEvent);
-    }
+    _sim.cancelTimer(_sleepEvent);
 }
 
 bool
@@ -76,17 +39,17 @@ LineCard::portActivityChanged()
     if (_state == LineCardState::off)
         return;
     if (anyPortActive()) {
-        cancelSleep();
+        _sim.cancelTimer(_sleepEvent);
         return;
     }
     if (_state == LineCardState::active)
-        armSleep(_profile.linecardSleepThreshold);
+        _sim.armTimer(_sleepEvent, _profile.linecardSleepThreshold);
 }
 
 Tick
 LineCard::wake()
 {
-    cancelSleep();
+    _sim.cancelTimer(_sleepEvent);
     switch (_state) {
       case LineCardState::active:
         return 0;
@@ -106,7 +69,7 @@ LineCard::powerOff()
         if (p->busy())
             fatal("cannot power off a line card with busy ports");
     }
-    cancelSleep();
+    _sim.cancelTimer(_sleepEvent);
     setState(LineCardState::off);
 }
 

@@ -15,7 +15,6 @@
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
-#include "sim/timer_wheel.hh"
 #include "switch_power.hh"
 #include "telemetry/trace_manager.hh"
 
@@ -28,10 +27,10 @@ enum class LineCardState { active, sleep, off };
  * A line card hosting a contiguous group of ports. The card sleeps
  * when all of its ports have been quiescent (LPI or off) for the
  * profile's threshold and wakes -- paying the wake latency -- when
- * traffic returns. The sleep countdown rides the shared TimerWheel
- * when one is installed, a private event otherwise.
+ * traffic returns. The sleep countdown is one "linecard.sleep" event
+ * armed through Simulator::armTimer().
  */
-class LineCard : private TimerClient
+class LineCard
 {
   public:
     using AccrueFn = std::function<void()>;
@@ -94,21 +93,12 @@ class LineCard : private TimerClient
     void setState(LineCardState next);
     /** Emit the current state to the timeline tracer. */
     void traceState();
-    /** TimerClient: the sleep countdown expired. */
-    void timerFired(std::uint64_t token, Tick deadline) override;
-    /** Body shared by the sleep event and the wheel callback. */
-    void sleepDeadline();
-    void armSleep(Tick delay);
-    void cancelSleep();
 
     Simulator &_sim;
     unsigned _id;
     const SwitchPowerProfile &_profile;
     AccrueFn _accrue;
     StateChangedFn _stateChanged;
-    /** Wheel latched at construction; nullptr = private event. */
-    TimerWheel *_wheel;
-    TimerWheel::Handle _sleepHandle;
 
     LineCardState _state = LineCardState::active;
     std::vector<Port *> _ports;

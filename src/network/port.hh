@@ -11,8 +11,8 @@
  * deliver callback) lives in a parallel per-port struct touched only
  * when the port actually moves traffic.
  *
- * When the Simulator has a TimerWheel installed, LPI countdowns arm
- * wheel timers instead of one "port.lpi" event per port.
+ * Each port's LPI countdown is one "port.lpi" event armed through
+ * Simulator::armTimer().
  */
 
 #ifndef HOLDCSIM_NETWORK_PORT_HH
@@ -27,7 +27,6 @@
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
-#include "sim/timer_wheel.hh"
 #include "switch_power.hh"
 
 namespace holdcsim {
@@ -51,7 +50,7 @@ class PortHost
 };
 
 /** Dense struct-of-arrays storage for all ports of one switch. */
-class PortPool : public TimerClient
+class PortPool
 {
   public:
     /** Hands a fully serialized packet to the far end of the link. */
@@ -70,16 +69,13 @@ class PortPool : public TimerClient
              std::vector<BitsPerSec> line_rates,
              std::size_t buffer_capacity);
 
-    /** Deschedules pending events and cancels wheel timers. */
-    ~PortPool() override;
+    /** Deschedules pending events and disarms LPI timers. */
+    ~PortPool();
 
     PortPool(const PortPool &) = delete;
     PortPool &operator=(const PortPool &) = delete;
 
     unsigned size() const { return static_cast<unsigned>(_state.size()); }
-
-    /** TimerClient: an LPI deadline expired (token = port id). */
-    void timerFired(std::uint64_t token, Tick deadline) override;
 
   private:
     friend class Port;
@@ -118,15 +114,12 @@ class PortPool : public TimerClient
     PortHost &_host;
     const SwitchPowerProfile &_profile;
     std::size_t _bufferCapacity;
-    /** Wheel latched at construction; nullptr = per-port events. */
-    TimerWheel *_wheel;
 
     // Hot per-port state, indexed by dense port id.
     std::vector<PortState> _state;
     std::vector<double> _rateFraction;
     std::vector<unsigned> _activeFlows;
     std::vector<BitsPerSec> _lineRate;
-    std::vector<TimerWheel::Handle> _lpi;
     std::vector<StateResidency> _residency;
     std::vector<std::uint64_t> _packetsSent;
     std::vector<std::uint64_t> _packetsDropped;
@@ -134,7 +127,6 @@ class PortPool : public TimerClient
 
     std::vector<PortIo> _io;
     // Events are address-stable in deques (Event is pinned).
-    // _lpiEvents stays empty in wheel mode.
     std::deque<EventFunctionWrapper> _txDoneEvents;
     std::deque<EventFunctionWrapper> _lpiEvents;
 };

@@ -30,7 +30,6 @@ Switch::Switch(Simulator &sim, const SwitchConfig &config,
     : _sim(sim), _config(config), _profile(profile),
       _portPool(sim, *this, _profile, checkedPortRates(config, _profile),
                 config.portBufferCapacity),
-      _wheel(sim.timerWheel()),
       _sleepEvent([this] { trySleep(); }, "switch.sleep",
                   Event::powerPriority),
       _lastAccrue(sim.curTick())
@@ -63,39 +62,7 @@ Switch::Switch(Simulator &sim, const SwitchConfig &config,
 
 Switch::~Switch()
 {
-    if (_sleepEvent.scheduled())
-        _sim.deschedule(_sleepEvent);
-    if (_wheel)
-        _wheel->cancel(_sleepHandle);
-}
-
-void
-Switch::timerFired(std::uint64_t, Tick)
-{
-    _sleepHandle = {}; // the firing handle is already dead
-    trySleep();
-}
-
-void
-Switch::armSleep()
-{
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-        _sleepHandle = _wheel->arm(*this, 0, _config.switchSleepDelay);
-    } else {
-        _sim.reschedule(_sleepEvent,
-                        _sim.curTick() + _config.switchSleepDelay);
-    }
-}
-
-void
-Switch::cancelSleep()
-{
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-    } else if (_sleepEvent.scheduled()) {
-        _sim.deschedule(_sleepEvent);
-    }
+    _sim.cancelTimer(_sleepEvent);
 }
 
 Tick
@@ -106,7 +73,7 @@ Switch::wakeForActivity(unsigned port_idx)
         setAsleep(false);
         delay += _profile.switchWakeLatency;
     }
-    cancelSleep();
+    _sim.cancelTimer(_sleepEvent);
     unsigned lc = port_idx / _config.portsPerLinecard;
     delay += _linecards.at(lc)->wake();
     delay += _ports.at(port_idx).wake();
@@ -134,7 +101,7 @@ Switch::setFailed(bool failed)
     accrue();
     _failed = failed;
     if (failed) {
-        cancelSleep();
+        _sim.cancelTimer(_sleepEvent);
     } else {
         // A repaired switch whose line cards are all still quiescent
         // would otherwise stay awake forever: no port edge means no
@@ -258,7 +225,7 @@ Switch::linecardStateChanged()
         if (lc->state() == LineCardState::active)
             return;
     }
-    armSleep();
+    _sim.armTimer(_sleepEvent, _config.switchSleepDelay);
 }
 
 void

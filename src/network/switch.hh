@@ -40,7 +40,7 @@ struct SwitchConfig {
 };
 
 /** A store-and-forward switch with hierarchical power management. */
-class Switch : private PortHost, private TimerClient
+class Switch : private PortHost
 {
   public:
     Switch(Simulator &sim, const SwitchConfig &config,
@@ -127,11 +127,7 @@ class Switch : private PortHost, private TimerClient
     /** Route a port's busy/idle edge to its line card. */
     void portActivityChanged(unsigned port) override;
     ///@}
-    /** TimerClient: the whole-switch sleep countdown expired. */
-    void timerFired(std::uint64_t token, Tick deadline) override;
     void linecardStateChanged();
-    void armSleep();
-    void cancelSleep();
     void setAsleep(bool asleep);
     /** Emit the chassis state (awake/asleep/failed) to the tracer. */
     void traceState();
@@ -151,9 +147,7 @@ class Switch : private PortHost, private TimerClient
     bool _asleep = false;
     bool _failed = false;
     Tick _forwardingDelay = 1 * usec;
-    /** Wheel latched at construction; nullptr = private event. */
-    TimerWheel *_wheel = nullptr;
-    TimerWheel::Handle _sleepHandle;
+    /** Whole-switch sleep countdown ("switch.sleep" timer). */
     EventFunctionWrapper _sleepEvent;
 
     Tick _lastAccrue = 0;

@@ -7,8 +7,7 @@ namespace holdcsim {
 CorePool::CorePool(Simulator &sim, CoreHost &host,
                    const ServerPowerProfile &profile,
                    std::vector<double> base_freqs_ghz)
-    : _sim(sim), _host(host), _profile(profile),
-      _wheel(sim.timerWheel())
+    : _sim(sim), _host(host), _profile(profile)
 {
     const unsigned n = static_cast<unsigned>(base_freqs_ghz.size());
     for (double f : base_freqs_ghz)
@@ -22,7 +21,6 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
     _startedAt.assign(n, 0);
     _tasksExecuted.assign(n, 0);
     _residency.resize(n);
-    _demotion.resize(n);
     _traceLabel.resize(n);
     _traceTrack.assign(n, noTraceTrack);
 
@@ -30,10 +28,9 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
     for (unsigned c = 0; c < n; ++c) {
         _completionEvents.emplace_back([this, c] { complete(c); },
                                        "core.completion");
-        if (!_wheel)
-            _demotionEvents.emplace_back([this, c] { demote(c); },
-                                         "core.demotion",
-                                         Event::powerPriority);
+        _demotionEvents.emplace_back([this, c] { demote(c); },
+                                     "core.demotion",
+                                     Event::powerPriority);
         _residency[c].enter(static_cast<int>(_cstate[c]), now);
         armDemotion(c);
     }
@@ -45,19 +42,7 @@ CorePool::~CorePool()
         if (ev.scheduled())
             _sim.deschedule(ev);
     for (auto &ev : _demotionEvents)
-        if (ev.scheduled())
-            _sim.deschedule(ev);
-    if (_wheel)
-        for (auto &h : _demotion)
-            _wheel->cancel(h);
-}
-
-void
-CorePool::timerFired(std::uint64_t token, Tick)
-{
-    const unsigned c = static_cast<unsigned>(token);
-    _demotion[c] = {}; // the firing handle is already dead
-    demote(c);
+        _sim.cancelTimer(ev);
 }
 
 double
@@ -222,22 +207,13 @@ CorePool::armDemotion(unsigned c)
     }
     if (delay == maxTick)
         return; // state disabled
-    if (_wheel) {
-        _wheel->cancel(_demotion[c]);
-        _demotion[c] = _wheel->arm(*this, c, delay);
-    } else {
-        _sim.reschedule(_demotionEvents[c], _sim.curTick() + delay);
-    }
+    _sim.armTimer(_demotionEvents[c], delay);
 }
 
 void
 CorePool::cancelDemotion(unsigned c)
 {
-    if (_wheel) {
-        _wheel->cancel(_demotion[c]);
-    } else if (_demotionEvents[c].scheduled()) {
-        _sim.deschedule(_demotionEvents[c]);
-    }
+    _sim.cancelTimer(_demotionEvents[c]);
 }
 
 void

@@ -20,11 +20,9 @@
  * copyable view (pool pointer + dense id) carrying the familiar
  * per-core API.
  *
- * Timer discipline: when the owning Simulator has a TimerWheel
- * installed, idle-governor demotions arm wheel timers (one kernel
- * event per occupied bucket, O(1) generation-stamped cancel);
- * otherwise each core keeps its own demotion event -- bit-identical
- * to the historical per-event behavior.
+ * Each core owns one "core.demotion" event armed through
+ * Simulator::armTimer(), so a coarse timer granularity batches the
+ * demotions onto the Simulator's wheel without any code here.
  */
 
 #ifndef HOLDCSIM_SERVER_CORE_HH
@@ -39,7 +37,6 @@
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
-#include "sim/timer_wheel.hh"
 #include "task.hh"
 #include "telemetry/trace_manager.hh"
 
@@ -73,7 +70,7 @@ class CoreHost
  * Dense struct-of-arrays storage for all cores of one server.
  * Fixed-size: the core count is set at construction.
  */
-class CorePool : public TimerClient
+class CorePool
 {
   public:
     /**
@@ -89,8 +86,8 @@ class CorePool : public TimerClient
              const ServerPowerProfile &profile,
              std::vector<double> base_freqs_ghz);
 
-    /** Deschedules pending events and cancels wheel timers. */
-    ~CorePool() override;
+    /** Deschedules pending events and disarms demotion timers. */
+    ~CorePool();
 
     CorePool(const CorePool &) = delete;
     CorePool &operator=(const CorePool &) = delete;
@@ -98,9 +95,6 @@ class CorePool : public TimerClient
     unsigned size() const { return static_cast<unsigned>(_cstate.size()); }
 
     Simulator &sim() const { return _sim; }
-
-    /** TimerClient: a demotion deadline expired (token = core id). */
-    void timerFired(std::uint64_t token, Tick deadline) override;
 
   private:
     friend class Core;
@@ -127,8 +121,6 @@ class CorePool : public TimerClient
     Simulator &_sim;
     CoreHost &_host;
     const ServerPowerProfile &_profile;
-    /** Wheel latched at construction; nullptr = per-core events. */
-    TimerWheel *_wheel;
 
     // Hot per-core state, indexed by dense core id.
     std::vector<CoreCState> _cstate;
@@ -138,10 +130,8 @@ class CorePool : public TimerClient
     std::vector<Tick> _startedAt;
     std::vector<std::uint64_t> _tasksExecuted;
     std::vector<StateResidency> _residency;
-    std::vector<TimerWheel::Handle> _demotion;
 
     // Cold: events are address-stable in deques (Event is pinned).
-    // _demotionEvents stays empty in wheel mode.
     std::deque<EventFunctionWrapper> _completionEvents;
     std::deque<EventFunctionWrapper> _demotionEvents;
 

@@ -179,6 +179,26 @@ Config::getDouble(const std::string &key, double fallback) const
     return has(key) ? getDouble(key) : fallback;
 }
 
+Tick
+Config::getDuration(const std::string &key, Tick unit) const
+{
+    const double ticks = getDouble(key) * static_cast<double>(unit);
+    // 2^64 is the first double a Tick cannot hold; NaN fails both
+    // comparisons.
+    if (!(ticks >= 0.0 && ticks < 18446744073709551616.0))
+        fatal("config key '", key, "'", locate(key), ": '",
+              getString(key),
+              "' is not a duration (must be finite, non-negative and "
+              "below 2^64 ns)");
+    return static_cast<Tick>(ticks);
+}
+
+Tick
+Config::getDuration(const std::string &key, Tick unit, Tick fallback) const
+{
+    return has(key) ? getDuration(key, unit) : fallback;
+}
+
 bool
 Config::getBool(const std::string &key) const
 {

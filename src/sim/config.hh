@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "types.hh"
+
 namespace holdcsim {
 
 /** Parsed key/value configuration with typed access. */
@@ -62,6 +64,17 @@ class Config
     /** Floating-point getter. */
     double getDouble(const std::string &key) const;
     double getDouble(const std::string &key, double fallback) const;
+
+    /**
+     * Duration getter for "*_ms" / "*_us" keys: the key's number
+     * times @p unit (e.g. msec), truncated to whole ticks. Throws
+     * FatalError, naming the key and its file:line, when the value
+     * is negative, not finite or too large for a Tick -- casting
+     * those to Tick would be undefined behaviour.
+     */
+    Tick getDuration(const std::string &key, Tick unit) const;
+    Tick getDuration(const std::string &key, Tick unit,
+                     Tick fallback) const;
 
     /** Boolean getter; accepts true/false/yes/no/on/off/1/0. */
     bool getBool(const std::string &key) const;

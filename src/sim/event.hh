@@ -20,6 +20,7 @@
 namespace holdcsim {
 
 class EventQueue;
+class TimerWheel;
 
 /**
  * An occurrence scheduled to happen at a simulated instant.
@@ -74,9 +75,9 @@ class Event
     bool scheduled() const { return _scheduled; }
 
     /**
-     * Tick this event is scheduled for. Valid while scheduled(); after
-     * the queue pops the event the field keeps the tick it fired at
-     * (the run loop reads it to advance the clock).
+     * Tick this event is scheduled (or armed on the timer wheel) for.
+     * Valid while pending; once fired the field keeps the tick it
+     * fired at (the run loop reads it to advance the clock).
      */
     Tick when() const { return _when; }
 
@@ -90,6 +91,7 @@ class Event
 
   private:
     friend class EventQueue;
+    friend class TimerWheel;
 
     /** _qBucket value meaning "in the overflow heap, not a bucket". */
     static constexpr std::uint32_t inHeap = 0xffffffffu;
@@ -98,9 +100,12 @@ class Event
     int _priority;
     bool _background = false;
     bool _scheduled = false;
+    /** Armed on the Simulator's timer wheel (never while scheduled). */
+    bool _onWheel = false;
     Tick _when = 0;
     /** Calendar bucket (physical ring index) holding this event, or
-     *  Event::inHeap when it sits in the overflow heap. */
+     *  Event::inHeap when it sits in the overflow heap. The timer
+     *  wheel reuses both fields for its own ring slot or heap. */
     std::uint32_t _qBucket = inHeap;
     /** Slot inside that bucket's vector, or heap index. */
     std::size_t _qSlot = 0;

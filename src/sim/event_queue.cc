@@ -33,6 +33,9 @@ Event::~Event()
     // it; the queue would later touch freed memory.
     if (_scheduled)
         HOLDCSIM_PANIC("event '", _name, "' destroyed while scheduled");
+    if (_onWheel)
+        HOLDCSIM_PANIC("event '", _name,
+                       "' destroyed while on the timer wheel");
 }
 
 void

@@ -76,6 +76,17 @@ Simulator::checkLimits() const
 }
 
 void
+Simulator::setTimerGranularity(Tick granularity)
+{
+    if (_timerArmed)
+        fatal("Simulator::setTimerGranularity after the first timer "
+              "was armed");
+    _wheel = granularity == 0
+                 ? nullptr
+                 : std::make_unique<TimerWheel>(*this, granularity);
+}
+
+void
 Simulator::schedule(Event &ev, Tick when)
 {
     if (when < _curTick) {

@@ -15,17 +15,18 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "event_queue.hh"
+#include "timer_wheel.hh"
 #include "types.hh"
 
 namespace holdcsim {
 
-class TimerWheel;
 class TraceManager;
 
 /**
@@ -178,19 +179,47 @@ class Simulator
     /** Installed tracer, or nullptr when tracing is off. */
     TraceManager *tracer() const { return _tracer; }
 
-    /**
-     * Install (or clear, with nullptr) the shared governor timer
-     * wheel. Like the tracer, the kernel never dereferences it: the
-     * pointer rides here so entities (core pools, ports, line cards)
-     * can discover whether they should arm wheel timers instead of
-     * per-entity events. Not owned. Install before building the
-     * plant -- entities latch their timer mode at arm time, so
-     * swapping mid-run mixes disciplines.
+    /** @name Governor timers
+     * Every power-state governor (core demotion, port LPI, line card
+     * and switch sleep) owns one Event and arms it here. At exact
+     * granularity (the default) a timer is a plain queue event; with
+     * a granularity G >= 1 the Simulator owns a TimerWheel that
+     * quantizes deadlines up to multiples of G and fires each
+     * boundary's batch from one "wheel.tick" event.
      */
-    void setTimerWheel(TimerWheel *wheel) { _timerWheel = wheel; }
+    ///@{
+    /** (Re-)arm @p ev to fire at curTick() + @p delay. */
+    void
+    armTimer(Event &ev, Tick delay)
+    {
+        _timerArmed = true;
+        if (_wheel)
+            _wheel->arm(ev, delay);
+        else
+            reschedule(ev, _curTick + delay);
+    }
 
-    /** Installed timer wheel, or nullptr for per-entity events. */
-    TimerWheel *timerWheel() const { return _timerWheel; }
+    /** Disarm @p ev; a no-op when it is not armed. */
+    void
+    cancelTimer(Event &ev)
+    {
+        if (_wheel)
+            _wheel->cancel(ev);
+        else if (ev.scheduled())
+            deschedule(ev);
+    }
+
+    /**
+     * Timer bucket width in ticks: 0 (the default) fires every timer
+     * exactly; G >= 1 batches them on a wheel, each firing up to G-1
+     * ticks late. Fatal once any timer has been armed.
+     */
+    void setTimerGranularity(Tick granularity);
+
+    /** The timer wheel (profile.wheel.* stats), or nullptr at exact
+     *  granularity. */
+    const TimerWheel *timerWheel() const { return _wheel.get(); }
+    ///@}
 
     /**
      * Install (or clear) the kernel profiling probe. Not owned.
@@ -303,7 +332,9 @@ class Simulator
     std::uint64_t _eventsProcessed = 0;
     bool _stopRequested = false;
     TraceManager *_tracer = nullptr;
-    TimerWheel *_timerWheel = nullptr;
+    /** Declared after _queue: its dtor deschedules the tick event. */
+    std::unique_ptr<TimerWheel> _wheel;
+    bool _timerArmed = false;
     KernelProbe *_probe = nullptr;
     /** Fast guard for the per-event limit checks. */
     bool _limits = false;

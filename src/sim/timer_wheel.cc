@@ -1,7 +1,6 @@
 #include "timer_wheel.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "logging.hh"
 #include "simulator.hh"
@@ -34,6 +33,13 @@ TimerWheel::~TimerWheel()
 {
     if (_scheduledAt != maxTick)
         _sim.deschedule(_tickEvent);
+    // Mark survivors off the wheel so their destructors don't panic.
+    for (Slot &slot : _slots)
+        for (Event *ev : slot.events)
+            if (ev)
+                ev->_onWheel = false;
+    for (auto &entry : _overflow)
+        entry.second->_onWheel = false;
 }
 
 Tick
@@ -46,78 +52,37 @@ TimerWheel::quantize(Tick t) const
     return ((t + _granularity - 1) / _granularity) * _granularity;
 }
 
-std::uint32_t
-TimerWheel::allocEntry()
+void
+TimerWheel::slotInsert(Event &ev)
 {
-    if (_freeHead != Handle::invalidIdx) {
-        std::uint32_t idx = _freeHead;
-        _freeHead = _arena[idx].nextFree;
-        return idx;
-    }
-    if (_arena.size() >= Handle::invalidIdx)
-        fatal("TimerWheel: arena exhausted (", _arena.size(), " entries)");
-    _arena.emplace_back();
-    return static_cast<std::uint32_t>(_arena.size() - 1);
+    const std::uint32_t idx = slotIndex(ev._when);
+    Slot &s = _slots[idx];
+    ev._qBucket = idx;
+    ev._qSlot = s.events.size();
+    s.events.push_back(&ev);
+    ++s.live;
 }
 
 void
-TimerWheel::freeEntry(std::uint32_t idx)
+TimerWheel::settleOverflow(Tick base)
 {
-    Entry &e = _arena[idx];
-    ++e.gen; // invalidates every outstanding Handle/Ref to this entry
-    e.live = false;
-    e.client = nullptr;
-    e.nextFree = _freeHead;
-    _freeHead = idx;
-}
-
-bool
-TimerWheel::overflowAfter(const OverflowItem &a, const OverflowItem &b)
-{
-    if (a.deadline != b.deadline)
-        return a.deadline > b.deadline;
-    return a.seq > b.seq;
-}
-
-void
-TimerWheel::pushOverflow(OverflowItem item)
-{
-    _overflow.push_back(item);
-    std::push_heap(_overflow.begin(), _overflow.end(), overflowAfter);
-}
-
-void
-TimerWheel::popOverflow()
-{
-    std::pop_heap(_overflow.begin(), _overflow.end(), overflowAfter);
-    _overflow.pop_back();
-}
-
-void
-TimerWheel::settleOverflow(Tick window_base)
-{
-    const Tick horizon_end = window_base + span();
-    while (!_overflow.empty()) {
-        const OverflowItem &top = _overflow.front();
-        Entry &e = _arena[top.idx];
-        if (e.gen != top.gen || !e.live) {
-            popOverflow(); // cancelled (or reused) while parked
-            continue;
-        }
-        if (top.deadline >= horizon_end)
-            break;
-        Slot &s = slotFor(top.deadline);
-        s.ids.push_back({top.idx, top.gen});
-        ++s.liveCount;
-        e.inOverflow = false;
+    const Tick horizon_end = base + span();
+    while (!_overflow.empty() &&
+           _overflow.begin()->first.first < horizon_end) {
+        Event &ev = *_overflow.begin()->second;
+        _overflow.erase(_overflow.begin());
+        slotInsert(ev);
         ++_stats.overflowMigrations;
-        popOverflow();
     }
 }
 
-TimerWheel::Handle
-TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
+void
+TimerWheel::arm(Event &ev, Tick delay)
 {
+    if (ev.scheduled())
+        HOLDCSIM_PANIC("event '", ev.name(),
+                       "' armed on the timer wheel while scheduled");
+    cancel(ev);
     const Tick now = _sim.curTick();
     if (delay > maxTick - now)
         fatal("TimerWheel: deadline overflows Tick (now=", now,
@@ -125,26 +90,18 @@ TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
     const Tick dl = quantize(now + delay);
 
     // An empty wheel may hold a stale window from long ago; snap it
-    // forward so near deadlines land in the ring, not the heap.
+    // forward so near deadlines land in the ring, not the overflow.
     if (_live == 0)
         _windowBase = now - now % _granularity;
 
-    const std::uint32_t idx = allocEntry();
-    Entry &e = _arena[idx];
-    e.client = &client;
-    e.token = token;
-    e.seq = _nextSeq++;
-    e.deadline = dl;
-    e.live = true;
-
+    ev._onWheel = true;
+    ev._when = dl;
     if (dl < _windowBase + span()) {
-        e.inOverflow = false;
-        Slot &s = slotFor(dl);
-        s.ids.push_back({idx, e.gen});
-        ++s.liveCount;
+        slotInsert(ev);
     } else {
-        e.inOverflow = true;
-        pushOverflow({dl, e.seq, idx, e.gen});
+        ev._qBucket = Event::inHeap;
+        ev._qSlot = _nextSeq++;
+        _overflow.emplace(std::make_pair(dl, ev._qSlot), &ev);
     }
 
     ++_live;
@@ -154,52 +111,32 @@ TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
 
     if (dl < _scheduledAt)
         scheduleAt(dl);
-    return {idx, e.gen};
 }
 
 void
-TimerWheel::cancel(Handle &h)
+TimerWheel::cancel(Event &ev)
 {
-    if (!h.valid()) {
-        h = {};
+    if (!ev._onWheel)
         return;
+    ev._onWheel = false;
+    if (ev._qBucket == Event::inHeap) {
+        _overflow.erase({ev._when, ev._qSlot});
+    } else if (ev._qSlot < _batch.size() && _batch[ev._qSlot] == &ev) {
+        // Still waiting its turn in the firing batch (fired and
+        // cancelled batch entries are nulled, so a match is exact).
+        _batch[ev._qSlot] = nullptr;
+    } else {
+        Slot &s = _slots[ev._qBucket];
+        s.events[ev._qSlot] = nullptr; // keeps the rest in arm order
+        if (--s.live == 0)
+            s.events.clear(); // nothing live left: drop the nulls
     }
-    Entry &e = _arena[h.idx];
-    if (e.gen != h.gen || !e.live) {
-        h = {}; // stale: the timer already fired or was re-armed
-        return;
-    }
-    if (!e.inOverflow) {
-        Slot &s = slotFor(e.deadline);
-        if (--s.liveCount == 0)
-            s.ids.clear(); // nothing live left: drop the dead refs too
-    }
-    // Overflow items are dropped lazily by settleOverflow().
-    freeEntry(h.idx);
     --_live;
     ++_stats.cancelled;
     if (_live == 0 && _scheduledAt != maxTick) {
         _sim.deschedule(_tickEvent);
         _scheduledAt = maxTick;
     }
-    h = {};
-}
-
-bool
-TimerWheel::pending(const Handle &h) const
-{
-    if (!h.valid() || h.idx >= _arena.size())
-        return false;
-    const Entry &e = _arena[h.idx];
-    return e.gen == h.gen && e.live;
-}
-
-Tick
-TimerWheel::deadline(const Handle &h) const
-{
-    if (!pending(h))
-        fatal("TimerWheel::deadline on a dead handle");
-    return _arena[h.idx].deadline;
 }
 
 void
@@ -225,31 +162,24 @@ TimerWheel::tick()
     settleOverflow(boundary);
 
     // Detach this boundary's batch before firing: callbacks may arm
-    // new timers (strictly future after quantization) into the slot.
-    Slot &slot = slotFor(boundary);
+    // new timers (strictly future after quantization, or this very
+    // boundary at zero delay) into the slot. The slot holds its
+    // timers in arm order, the deterministic fire order.
+    Slot &slot = _slots[slotIndex(boundary)];
     _batch.clear();
-    _batch.swap(slot.ids);
-    slot.liveCount = 0;
-
-    // Fire live entries in arm order (seq) for determinism. Filter
-    // first: dead refs keep stale seqs. Free each entry before its
-    // callback so the callback can re-arm without tripping pending().
-    std::sort(_batch.begin(), _batch.end(),
-              [this](const Ref &a, const Ref &b) {
-                  return _arena[a.idx].seq < _arena[b.idx].seq;
-              });
+    _batch.swap(slot.events);
+    slot.live = 0;
     std::uint64_t fired = 0;
-    for (const Ref &ref : _batch) {
-        Entry &e = _arena[ref.idx];
-        if (e.gen != ref.gen || !e.live)
+    for (Event *&entry : _batch) {
+        Event *ev = entry;
+        if (!ev)
             continue; // cancelled, possibly by an earlier callback
-        TimerClient *client = e.client;
-        const std::uint64_t token = e.token;
-        freeEntry(ref.idx);
+        entry = nullptr;
+        ev->_onWheel = false;
         --_live;
         ++_stats.fired;
         ++fired;
-        client->timerFired(token, boundary);
+        ev->process();
     }
     if (fired > _stats.maxBatch)
         _stats.maxBatch = fired;
@@ -262,30 +192,19 @@ TimerWheel::tick()
     // slot: a callback may have armed a zero-delay timer landing on
     // this very boundary, which must fire later this tick, not a lap
     // from now. Then scan the ring forward and fall back to the
-    // overflow heap (whose live top is beyond the ring horizon by
-    // construction).
+    // overflow map (whose first deadline is beyond the ring horizon
+    // by construction).
     Tick next = maxTick;
     const std::size_t n = _slots.size();
     for (std::size_t k = 0; k <= n; ++k) {
         const Tick b = boundary + _granularity * static_cast<Tick>(k);
-        if (_slots[static_cast<std::size_t>(b / _granularity) & (n - 1)]
-                .liveCount > 0) {
+        if (_slots[slotIndex(b)].live > 0) {
             next = b;
             break;
         }
     }
-    if (next == maxTick) {
-        while (!_overflow.empty()) {
-            const OverflowItem &top = _overflow.front();
-            const Entry &e = _arena[top.idx];
-            if (e.gen != top.gen || !e.live) {
-                popOverflow();
-                continue;
-            }
-            next = top.deadline;
-            break;
-        }
-    }
+    if (next == maxTick && !_overflow.empty())
+        next = _overflow.begin()->first.first;
     if (next == maxTick)
         fatal("TimerWheel: ", _live, " live timers but no next boundary");
     scheduleAt(next);

@@ -1,41 +1,44 @@
 /**
  * @file
- * Shared timer wheel for power-state governor timers.
+ * Coarse-granularity batching for power-state governor timers.
  *
- * The idle-governor ladder (core C-state demotion, port LPI, line
- * card and switch sleep countdowns) arms one timer per entity. With
- * one Event per timer those governors dominate the event kernel:
- * core.demotion alone is ~43% of all events on the three-tier replay.
- * The TimerWheel coalesces them: deadlines are quantized UP to a
- * bucket boundary (granularity G) and all timers sharing a boundary
+ * Every idle governor (core C-state demotion, port LPI, line card and
+ * switch sleep countdowns) owns one Event and arms it through
+ * Simulator::armTimer(). At exact granularity (the default) that is a
+ * plain reschedule on the event queue. When Simulator::
+ * setTimerGranularity(G) picks a bucket width G >= 1, the Simulator
+ * builds this wheel and the same Events ride it instead: deadlines are
+ * quantized UP to a bucket boundary and all timers sharing a boundary
  * fire from ONE kernel event, in deterministic arm order.
  *
  * Structure: a fixed ring of S slots each covering one G-tick
  * boundary within the rolling horizon [windowBase, windowBase + S*G),
- * plus an overflow min-heap for deadlines beyond the horizon
+ * plus an ordered overflow map for deadlines beyond the horizon
  * (migrated into the ring as the window advances -- the same
  * discipline as the calendar event queue's overflow heap). A single
  * "wheel.tick" event rides the simulator at the earliest live
  * boundary; when no timers are live it is descheduled, so the wheel
  * never extends a run() past the last real deadline.
  *
- * Cancellation is O(1) and race-free: handles carry a generation
- * stamp that is bumped whenever an arena entry is freed, so a stale
- * handle (or a slot reference to a reused entry) can never cancel or
- * fire the wrong timer. Callbacks may freely arm/cancel timers while
- * a batch is firing.
+ * An Event sits in at most one place -- the event queue or the wheel
+ * -- and the wheel records where in the Event's own location fields,
+ * so cancel finds it directly: O(1) in a slot (the entry is nulled,
+ * keeping the slot in arm order), O(log n) in the overflow map.
+ * Callbacks may freely arm/cancel timers while a batch is firing.
  *
- * Semantics vs. per-entity events: a timer armed for now+d fires at
+ * Semantics vs. exact timers: a timer armed for now+d fires at
  * ceil((now+d)/G)*G -- never early, at most G-1 ticks late (Linux
  * timer-slack style). With G == 1 the wheel is tick-exact and
- * statistics-identical to the per-event path; coarser G trades
- * bounded governor-transition delay for event coalescing.
+ * statistics-identical to exact timers; coarser G trades bounded
+ * governor-transition delay for event coalescing.
  */
 
 #ifndef HOLDCSIM_SIM_TIMER_WHEEL_HH
 #define HOLDCSIM_SIM_TIMER_WHEEL_HH
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "event.hh"
@@ -45,33 +48,10 @@ namespace holdcsim {
 
 class Simulator;
 
-/** Something that owns wheel timers (a pool, a card, a switch). */
-class TimerClient
-{
-  public:
-    virtual ~TimerClient() = default;
-
-    /**
-     * Timer @p token expired. @p deadline is the quantized tick the
-     * timer was set for (== curTick() at the callback). The handle
-     * that armed this timer is already dead; re-arming from inside
-     * the callback is allowed and yields a fresh handle.
-     */
-    virtual void timerFired(std::uint64_t token, Tick deadline) = 0;
-};
-
 /** Bucketed one-shot timer facility shared by many entities. */
 class TimerWheel
 {
   public:
-    /** Generation-stamped reference to an armed timer. */
-    struct Handle {
-        static constexpr std::uint32_t invalidIdx = 0xffffffffu;
-        std::uint32_t idx = invalidIdx;
-        std::uint32_t gen = 0;
-        bool valid() const { return idx != invalidIdx; }
-    };
-
     /** Kernel-visible cost counters (dumped as profile.wheel.*). */
     struct Stats {
         std::uint64_t armed = 0;
@@ -92,30 +72,24 @@ class TimerWheel
      * @param granularity bucket width G in ticks (>= 1; 1 = exact)
      * @param slots       ring size (rounded up to a power of two)
      */
-    explicit TimerWheel(Simulator &sim, Tick granularity = 1,
-                        std::size_t slots = 1024);
+    TimerWheel(Simulator &sim, Tick granularity,
+               std::size_t slots = 1024);
+    /** Releases the Events still on the wheel (like ~EventQueue). */
     ~TimerWheel();
     TimerWheel(const TimerWheel &) = delete;
     TimerWheel &operator=(const TimerWheel &) = delete;
 
     /**
-     * Arm a one-shot timer for @p client at curTick() + @p delay,
-     * quantized up to the next bucket boundary. @p delay must be
-     * finite (callers gate their own maxTick = disabled sentinels).
+     * Arm @p ev to fire (its process() is called) at curTick() +
+     * @p delay, quantized up to the next bucket boundary. An Event
+     * already on the wheel is cancelled and re-armed. @p delay must
+     * be finite (callers gate their own maxTick = disabled
+     * sentinels). @pre !ev.scheduled()
      */
-    Handle arm(TimerClient &client, std::uint64_t token, Tick delay);
+    void arm(Event &ev, Tick delay);
 
-    /**
-     * Cancel the timer behind @p h. O(1); safe (and a no-op) on
-     * invalid, stale or already-fired handles. @p h is reset.
-     */
-    void cancel(Handle &h);
-
-    /** Whether @p h still refers to a live, unfired timer. */
-    bool pending(const Handle &h) const;
-
-    /** Quantized fire tick of a pending handle. @pre pending(h) */
-    Tick deadline(const Handle &h) const;
+    /** Take @p ev off the wheel; a no-op when it is not on it. */
+    void cancel(Event &ev);
 
     Tick granularity() const { return _granularity; }
     std::size_t numSlots() const { return _slots.size(); }
@@ -124,34 +98,16 @@ class TimerWheel
     const Stats &stats() const { return _stats; }
 
   private:
-    struct Entry {
-        TimerClient *client = nullptr;
-        std::uint64_t token = 0;
-        /** Global arm order: deterministic intra-batch fire order. */
-        std::uint64_t seq = 0;
-        Tick deadline = 0;
-        std::uint32_t gen = 0;
-        std::uint32_t nextFree = Handle::invalidIdx;
-        bool live = false;
-        bool inOverflow = false;
-    };
-
-    /** (idx, gen) pair: detects freed-and-reused arena entries. */
-    struct Ref {
-        std::uint32_t idx;
-        std::uint32_t gen;
-    };
-
+    /**
+     * One boundary's timers, in arm order (nullptr once cancelled):
+     * every arm appends, and the overflow map migrates a deadline's
+     * timers into its slot before the ring window admits direct arms
+     * for that deadline.
+     */
     struct Slot {
-        std::vector<Ref> ids;
-        std::uint32_t liveCount = 0;
-    };
-
-    struct OverflowItem {
-        Tick deadline;
-        std::uint64_t seq;
-        std::uint32_t idx;
-        std::uint32_t gen;
+        std::vector<Event *> events;
+        /** Non-null entries; the slot is occupied iff live > 0. */
+        std::uint32_t live = 0;
     };
 
     Tick quantize(Tick t) const;
@@ -159,20 +115,15 @@ class TimerWheel
     {
         return _granularity * static_cast<Tick>(_slots.size());
     }
-    Slot &slotFor(Tick deadline)
+    std::uint32_t slotIndex(Tick deadline) const
     {
-        return _slots[static_cast<std::size_t>(deadline / _granularity) &
-                      (_slots.size() - 1)];
+        return static_cast<std::uint32_t>(
+            (deadline / _granularity) & (_slots.size() - 1));
     }
-    std::uint32_t allocEntry();
-    void freeEntry(std::uint32_t idx);
-    /** Keep a min-heap over (deadline, seq): deterministic order. */
-    static bool overflowAfter(const OverflowItem &a,
-                              const OverflowItem &b);
-    void pushOverflow(OverflowItem item);
-    void popOverflow();
-    /** Drop dead heap tops; migrate items inside the new window. */
-    void settleOverflow(Tick window_base);
+    void slotInsert(Event &ev);
+    /** Migrate overflow timers inside the window starting at @p base. */
+    void settleOverflow(Tick base);
+
     /** Kernel event body: fire the current boundary's batch. */
     void tick();
     void scheduleAt(Tick when);
@@ -180,18 +131,19 @@ class TimerWheel
     Simulator &_sim;
     Tick _granularity;
     std::vector<Slot> _slots;
-    std::vector<Entry> _arena;
-    std::uint32_t _freeHead = Handle::invalidIdx;
-    std::vector<OverflowItem> _overflow; // binary heap (by deadline,seq)
-    std::size_t _live = 0;
+    /** Timers beyond the ring horizon by (deadline, arm order); a
+     *  resident Event keeps its arm order in Event::_qSlot. */
+    std::map<std::pair<Tick, std::uint64_t>, Event *> _overflow;
     std::uint64_t _nextSeq = 0;
+    std::size_t _live = 0;
     /** Boundaries < _windowBase have fired; ring covers
      *  [_windowBase, _windowBase + span()). */
     Tick _windowBase = 0;
     Tick _scheduledAt = maxTick;
     EventFunctionWrapper _tickEvent;
-    /** Scratch for the firing batch (reused across ticks). */
-    std::vector<Ref> _batch;
+    /** The timers of the boundary now firing (empty between ticks);
+     *  entries are nulled as they fire or are cancelled. */
+    std::vector<Event *> _batch;
     Stats _stats;
 };
 

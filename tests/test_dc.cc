@@ -13,6 +13,7 @@
 
 #include "dc/datacenter.hh"
 #include "dc/validation.hh"
+#include "dc/workload_config.hh"
 #include "sim/logging.hh"
 #include "workload/service.hh"
 
@@ -95,6 +96,79 @@ TEST(DcConfig, RejectsBadValues)
     EXPECT_THROW(DataCenterConfig::fromConfig(Config::parseString(
                      "[scheduler]\npolicy = network_aware\n")),
                  FatalError);
+}
+
+TEST(DcConfig, DurationKeysRejectNegativeNonFiniteAndOverflow)
+{
+    struct Key {
+        const char *section;
+        const char *name;
+    };
+    const Key keys[] = {{"datacenter", "wheel_granularity_us"},
+                        {"network", "link_latency_us"},
+                        {"server", "tau_ms"},
+                        {"workload", "service_mean_ms"}};
+    auto parse = [](const Key &k, const std::string &value) {
+        Config cfg = Config::parseString("[" + std::string(k.section) +
+                                         "]\n" + k.name + " = " +
+                                         value + "\n");
+        DataCenterConfig dc = DataCenterConfig::fromConfig(cfg);
+        makeWorkload(cfg, dc, 1);
+    };
+    for (const Key &k : keys) {
+        const std::string key = std::string(k.section) + "." + k.name;
+        for (const char *bad : {"-1", "nan", "inf", "1e300"}) {
+            SCOPED_TRACE(key + " = " + bad);
+            try {
+                parse(k, bad);
+                ADD_FAILURE() << "accepted";
+            } catch (const FatalError &e) {
+                // Names the key and where it was set.
+                const std::string what = e.what();
+                EXPECT_NE(what.find("'" + key + "'"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find("<string>:2"), std::string::npos)
+                    << what;
+            }
+        }
+        EXPECT_NO_THROW(parse(k, "2.5")) << key;
+    }
+    EXPECT_EQ(DataCenterConfig::fromConfig(Config::parseString(
+                  "[server]\ntau_ms = 2.5\n"))
+                  .delayTimerTau,
+              2'500'000u);
+}
+
+TEST(DataCenter, WheelGranularityKeyBatchesGovernorTimers)
+{
+    // The key alone moves the governors onto the wheel: no second
+    // switch has to be flipped for it to take effect.
+    auto run = [](const std::string &granularity) {
+        auto dc = std::make_unique<DataCenter>(
+            DataCenterConfig::fromConfig(Config::parseString(
+                "[datacenter]\nservers = 4\nwheel_granularity_us = " +
+                granularity + "\n[telemetry]\nprofile = true\n")));
+        SingleTaskGenerator gen(fixedSvc(5 * msec));
+        dc->pump(std::make_unique<PoissonArrival>(
+                     200.0, dc->makeRng("arrivals")),
+                 gen, 100);
+        dc->run();
+        std::ostringstream os;
+        dc->dumpStats(os);
+        return std::make_pair(std::move(dc), os.str());
+    };
+
+    auto [coarse, dump] = run("1000");
+    const TimerWheel *wheel = coarse->sim().timerWheel();
+    ASSERT_NE(wheel, nullptr);
+    EXPECT_EQ(wheel->granularity(), 1 * msec);
+    EXPECT_GT(wheel->stats().fired, 0u);
+    EXPECT_NE(dump.find("profile.wheel.fired "), std::string::npos);
+    EXPECT_EQ(dump.find("profile.wheel.fired 0\n"), std::string::npos);
+
+    auto [exact, exact_dump] = run("0");
+    EXPECT_EQ(exact->sim().timerWheel(), nullptr);
+    EXPECT_EQ(exact_dump.find("profile.wheel."), std::string::npos);
 }
 
 TEST(DataCenter, BuildsConfiguredFleet)

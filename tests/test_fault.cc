@@ -23,7 +23,6 @@
 #include "server/server.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
-#include "sim/timer_wheel.hh"
 #include "workload/job.hh"
 
 using namespace holdcsim;
@@ -484,13 +483,13 @@ TEST_F(FaultFixture, RepairedServerServesAgain)
 TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
 {
     // Same crash/retry scenario as CrashedTaskRetriesOnHealthyServer
-    // but with the governor timers riding the shared wheel. A server
-    // failure forces cores into deep sleep mid-ladder; the wheel
-    // handles armed before the crash must all be cancelled -- a
+    // but with the governor timers batched on the timer wheel. A
+    // server failure forces cores into deep sleep mid-ladder; the
+    // timers armed before the crash must all be cancelled -- a
     // zombie entry would either fire into a failed machine or keep
     // the run alive forever.
-    TimerWheel wheel(sim, 1);
-    sim.setTimerWheel(&wheel);
+    sim.setTimerGranularity(1);
+    const TimerWheel &wheel = *sim.timerWheel();
     makeFleet(2);
     makeScheduler(flatPolicy(3));
     auto trace = std::make_unique<TraceFaultModel>();
@@ -521,13 +520,6 @@ TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
     EXPECT_GT(wheel.stats().fired, 0u);
     // forceDeepSleep on the crash cancelled at least one ladder.
     EXPECT_GT(wheel.stats().cancelled, 0u);
-
-    // The fixture's servers latched &wheel (a test-body local):
-    // destroy everything that might touch it before it dies.
-    mgr.reset();
-    sched.reset();
-    servers.clear();
-    owned.clear();
 }
 
 TEST_F(FaultFixture, TaskTimeoutTriggersRetry)
@@ -635,13 +627,13 @@ TEST_F(NetFaultFixture, ManagerDrivesSwitchFaults)
 
 TEST(NetFaultWheel, SwitchFaultCancelsWheelSleepTimers)
 {
-    // Wheel-mode switch: LPI / line card / switch sleep countdowns
-    // all live on the shared wheel. Failing the switch mid-countdown
-    // must cancel them (a zombie timer would put a dead switch to
-    // sleep), and the repair must restart the ladder cleanly.
+    // LPI / line card / switch sleep countdowns all batched on the
+    // timer wheel. Failing the switch mid-countdown must cancel them
+    // (a zombie timer would put a dead switch to sleep), and the
+    // repair must restart the ladder cleanly.
     Simulator sim;
-    TimerWheel wheel(sim, 1);
-    sim.setTimerWheel(&wheel);
+    sim.setTimerGranularity(1);
+    const TimerWheel &wheel = *sim.timerWheel();
     NetworkConfig net_cfg;
     net_cfg.switchSleepDelay = 50 * msec;
     {
@@ -669,7 +661,7 @@ TEST(NetFaultWheel, SwitchFaultCancelsWheelSleepTimers)
         EXPECT_GT(wheel.stats().fired, 0u);
     }
     // Network destroyed while the wheel is alive: port/card/switch
-    // dtors cancelled every handle they still held.
+    // dtors disarmed every timer they still held.
     EXPECT_EQ(wheel.live(), 0u);
 }
 

@@ -223,24 +223,37 @@ TEST(PartitionMap, GroupsPodsContiguouslyOntoPartitions)
 
 TEST(DataCenterConfig, PdesKeysParseAndValidate)
 {
+    // DataCenter runs on the sequential kernel only: pods:N parses but
+    // is rejected, naming the harness that does run partitions.
     Config cfg;
     cfg.set("datacenter.pdes_mode", "pods:4");
     cfg.set("network.fabric", "fat_tree");
     cfg.set("network.param", "4");
-    auto dc = DataCenterConfig::fromConfig(cfg);
-    EXPECT_TRUE(dc.pdes.enabled());
-    EXPECT_EQ(dc.pdes.partitions, 4u);
-    EXPECT_NO_THROW(dc.validate());
+    try {
+        DataCenterConfig::fromConfig(cfg);
+        ADD_FAILURE() << "pods:4 accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("PodCluster"),
+                  std::string::npos)
+            << e.what();
+    }
+    DataCenterConfig programmatic;
+    programmatic.pdes.mode = DataCenterConfig::PdesSettings::Mode::pods;
+    programmatic.pdes.partitions = 2;
+    EXPECT_THROW(programmatic.validate(), FatalError);
+
+    // A lookahead override has nothing to apply to.
+    Config lookahead;
+    lookahead.set("datacenter.pdes_lookahead_us", "5");
+    EXPECT_THROW(DataCenterConfig::fromConfig(lookahead), FatalError);
 
     Config off;
     off.set("datacenter.pdes_mode", "off");
     EXPECT_FALSE(DataCenterConfig::fromConfig(off).pdes.enabled());
 
-    // pods mode without a fabric cannot derive a partition cut.
     Config bad;
-    bad.set("datacenter.pdes_mode", "pods:2");
-    EXPECT_THROW(DataCenterConfig::fromConfig(bad).validate(),
-                 FatalError);
+    bad.set("datacenter.pdes_mode", "pods:x");
+    EXPECT_THROW(DataCenterConfig::fromConfig(bad), FatalError);
 }
 
 // ---------------------------------------------------------------------------

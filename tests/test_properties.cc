@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -25,7 +26,6 @@
 #include "network/routing.hh"
 #include "sched/dispatch_policy.hh"
 #include "sim/logging.hh"
-#include "sim/timer_wheel.hh"
 #include "workload/service.hh"
 #include "workload/trace.hh"
 
@@ -674,12 +674,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
-// Property: the shared governor timer wheel at granularity 1 is
-// statistics-identical to per-entity governor events -- every core
-// C-state residency, port/line-card/switch residency, energy figure
-// and job latency agrees exactly, on both event-queue backends. The
-// wheel only coalesces *when* timer callbacks run onto shared tick
-// events; with 1-tick buckets it must never move them.
+// Property: governor timers batched on the timer wheel at granularity
+// 1 are statistics-identical to exact timers (granularity 0, plain
+// kernel events) -- every core C-state residency, port/line-card/
+// switch residency, energy figure and job latency agrees exactly, on
+// both event-queue backends. The wheel only coalesces *when* timer
+// callbacks run onto shared tick events; with 1-tick buckets it must
+// never move them. Coarse buckets move them by design, so a golden
+// digest pins the 100 us signature.
 // ---------------------------------------------------------------------------
 
 class TimerModeProperty
@@ -697,15 +699,31 @@ class TimerModeProperty
         Tick endTick = 0;
     };
 
+    /** FNV-1a over the text of every signature field (doubles in
+     *  hexfloat, so the digest is bit-exact). */
+    static std::uint64_t
+    digest(const Signature &sig)
+    {
+        std::ostringstream os;
+        os << std::hexfloat;
+        for (Tick t : sig.residencies)
+            os << t << ' ';
+        for (double e : sig.energies)
+            os << e << ' ';
+        os << sig.jobs << ' ' << sig.latencyMean << ' ' << sig.endTick;
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (unsigned char c : os.str()) {
+            h ^= c;
+            h *= 0x100000001b3ULL;
+        }
+        return h;
+    }
+
     Signature
-    runOnce(bool use_wheel, Tick granularity)
+    runOnce(Tick granularity)
     {
         Simulator sim(GetParam());
-        std::unique_ptr<TimerWheel> wheel;
-        if (use_wheel) {
-            wheel = std::make_unique<TimerWheel>(sim, granularity);
-            sim.setTimerWheel(wheel.get());
-        }
+        sim.setTimerGranularity(granularity);
 
         // A small star fabric with aggressive sleep thresholds so
         // the run exercises every governor tier: core demotion, port
@@ -787,8 +805,10 @@ class TimerModeProperty
 
 TEST_P(TimerModeProperty, UnitGranularityWheelMatchesEventsExactly)
 {
-    Signature events = runOnce(false, 1);
-    Signature wheel = runOnce(true, 1);
+    Signature events = runOnce(0);
+    Signature wheel = runOnce(1);
+    // Exact timers: recorded together with the coarse golden below.
+    EXPECT_EQ(digest(events), 0x34bad794bc3fbb5eULL);
 
     ASSERT_GT(events.jobs, 0u);
     EXPECT_EQ(wheel.jobs, events.jobs);
@@ -811,8 +831,8 @@ TEST_P(TimerModeProperty, CoarseWheelConservesResidencyPartitions)
     // 100 us buckets shift governor transitions (never earlier, at
     // most one bucket later) but must keep every residency account a
     // partition of simulated time and complete the same job count.
-    Signature events = runOnce(false, 1);
-    Signature coarse = runOnce(true, 100 * usec);
+    Signature events = runOnce(0);
+    Signature coarse = runOnce(100 * usec);
     EXPECT_EQ(coarse.jobs, events.jobs);
     // Core + server residency blocks partition [0, endTick] per
     // entity: 8 servers x (2 cores x 5 states + 5 server states).
@@ -830,6 +850,14 @@ TEST_P(TimerModeProperty, CoarseWheelConservesResidencyPartitions)
             sum += coarse.residencies[off++];
         EXPECT_EQ(sum, coarse.endTick) << "server " << server;
     }
+}
+
+TEST_P(TimerModeProperty, CoarseWheelMatchesGoldenDigest)
+{
+    // Recorded from the wheel as it stood when governors armed it
+    // through per-entity handles rather than their own Events; the
+    // arm order, quantization and tick scheduling must be unchanged.
+    EXPECT_EQ(digest(runOnce(100 * usec)), 0xe20059bbc5d6fe12ULL);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -878,13 +906,13 @@ TEST(RetryBudgetProperty, ExhaustionAbandonsTheJob)
 // repair cycles -- every server's residency still partitions wall
 // time exactly, component energies sum to the fleet total, crashes
 // strand a nonzero-but-bounded wasted-energy account -- and the whole
-// ledger is bit-identical across both event-queue backends and both
-// timer modes.
+// ledger is bit-identical across both event-queue backends, with
+// exact and with unit-granularity wheel timers.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/** Every figure the four (backend x timer mode) runs must agree on. */
+/** Every figure the four (backend x granularity) runs must agree on. */
 struct FaultedLedger {
     std::vector<Tick> residencies;
     std::vector<double> energies;
@@ -899,11 +927,7 @@ FaultedLedger
 runFaultedLedger(EventQueue::Backend backend, bool use_wheel)
 {
     Simulator sim(backend);
-    std::unique_ptr<TimerWheel> wheel;
-    if (use_wheel) {
-        wheel = std::make_unique<TimerWheel>(sim, 1);
-        sim.setTimerWheel(wheel.get());
-    }
+    sim.setTimerGranularity(use_wheel ? 1 : 0);
 
     FaultedLedger ledger;
     {
@@ -1048,8 +1072,8 @@ TEST(FaultedEnergyProperty, LedgerConservedAndModeInvariant)
 // ---------------------------------------------------------------------------
 // Property: the event queue dispatches in total (tick, priority)
 // order even under heavy fault-style churn -- events descheduled and
-// rescheduled mid-run, wheel timers armed and cancelled -- on both
-// backends and both timer modes.
+// rescheduled mid-run, governor timers armed and cancelled -- on both
+// backends, with exact and with unit-granularity wheel timers.
 // ---------------------------------------------------------------------------
 
 using ChurnParam = std::tuple<EventQueue::Backend, bool>;
@@ -1057,22 +1081,13 @@ using ChurnParam = std::tuple<EventQueue::Backend, bool>;
 class EventOrderProperty
     : public ::testing::TestWithParam<ChurnParam>
 {
-  protected:
-    struct Counter : TimerClient {
-        int fired = 0;
-        void timerFired(std::uint64_t, Tick) override { ++fired; }
-    };
 };
 
 TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
 {
     const auto [backend, use_wheel] = GetParam();
     Simulator sim(backend);
-    std::unique_ptr<TimerWheel> wheel;
-    if (use_wheel) {
-        wheel = std::make_unique<TimerWheel>(sim, 1);
-        sim.setTimerWheel(wheel.get());
-    }
+    sim.setTimerGranularity(use_wheel ? 1 : 0);
 
     Rng rng(2024, "churn");
     const int prios[4] = {Event::powerPriority, Event::mailboxPriority,
@@ -1094,26 +1109,19 @@ TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
         events.push_back(std::move(ev));
     }
 
-    // Wheel-mode extra churn: timers armed and a third cancelled, the
+    // Governor-timer churn: timers armed and a third cancelled, the
     // way a fault tears down a governor ladder mid-countdown.
-    Counter counter;
-    int armed = 0, cancelled = 0;
-    std::vector<TimerWheel::Handle> handles;
-    if (use_wheel) {
-        for (int i = 0; i < 90; ++i) {
-            handles.push_back(wheel->arm(
-                counter, static_cast<std::uint64_t>(i),
-                1 + static_cast<Tick>(
-                        rng.uniformInt(0, 900'000'000))));
-            ++armed;
-        }
-        for (int i = 0; i < 90; i += 3) {
-            if (wheel->pending(handles[i])) {
-                wheel->cancel(handles[i]);
-                ++cancelled;
-            }
-        }
+    int timers_fired = 0;
+    std::deque<EventFunctionWrapper> timers;
+    for (int i = 0; i < 90; ++i) {
+        timers.emplace_back([&timers_fired] { ++timers_fired; },
+                            "churn.timer", Event::powerPriority);
+        sim.armTimer(timers.back(),
+                     1 + static_cast<Tick>(
+                             rng.uniformInt(0, 900'000'000)));
     }
+    for (int i = 0; i < 90; i += 3)
+        sim.cancelTimer(timers[static_cast<std::size_t>(i)]);
 
     // The churner: every 50 ms, kick a random batch of still-pending
     // events to new future times -- the deschedule/reschedule pattern
@@ -1143,8 +1151,7 @@ TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
     EXPECT_EQ(fired.size(), 300u);
     for (const auto &ev : events)
         EXPECT_FALSE(ev->scheduled());
-    if (use_wheel)
-        EXPECT_EQ(counter.fired, armed - cancelled);
+    EXPECT_EQ(timers_fired, 60);
     // ...and dispatch never went backwards in (tick, priority).
     for (std::size_t i = 1; i < fired.size(); ++i) {
         ASSERT_LE(fired[i - 1].tick, fired[i].tick) << "slot " << i;

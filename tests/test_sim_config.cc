@@ -152,3 +152,16 @@ TEST(Config, FarFetchedKeyGetsNoSuggestion)
     EXPECT_NE(out.find("orch.zzz_flux_capacitor"), std::string::npos) << out;
     EXPECT_EQ(out.find("did you mean"), std::string::npos) << out;
 }
+
+TEST(Config, RemovedTimerModeKeyWarnsAsUnknown)
+{
+    // wheel_granularity_us alone picks the timer discipline now.
+    std::string out =
+        capturedUnknownKeyWarnings("[datacenter]\ntimer_mode = wheel\n");
+    EXPECT_NE(out.find("unknown config key 'datacenter.timer_mode'"),
+              std::string::npos)
+        << out;
+    out = capturedUnknownKeyWarnings(
+        "[datacenter]\nwheel_granularity_us = 1000\n");
+    EXPECT_EQ(out, "") << out;
+}

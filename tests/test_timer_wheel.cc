@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the shared governor timer wheel: firing exactness,
- * quantization, O(1) cancellation with generation-stamped handles,
- * re-arming from callbacks, overflow-heap migration and the
- * deschedule-when-empty discipline.
+ * Unit tests for governor timers: Simulator::armTimer()/cancelTimer()
+ * at exact granularity, and the timer wheel that batches the same
+ * Events at a coarse granularity -- firing exactness, quantization,
+ * eager cancellation, re-arming from callbacks, overflow-heap
+ * migration and the deschedule-when-empty discipline.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -20,173 +21,204 @@ using namespace holdcsim;
 
 namespace {
 
-/** Records every firing as (token, tick). */
-struct RecordingClient : TimerClient {
-    std::vector<std::pair<std::uint64_t, Tick>> fired;
-
-    void
-    timerFired(std::uint64_t token, Tick deadline) override
-    {
-        fired.emplace_back(token, deadline);
-    }
-};
-
 struct WheelFixture : ::testing::Test {
     Simulator sim;
-    RecordingClient client;
+    /** Every firing as (timer id, tick). */
+    std::vector<std::pair<int, Tick>> fired;
+    std::deque<EventFunctionWrapper> timers;
+
+    /** A fresh timer Event that records its firings under @p id. */
+    Event &
+    timer(int id)
+    {
+        timers.emplace_back(
+            [this, id] { fired.emplace_back(id, sim.curTick()); },
+            "test.timer", Event::powerPriority);
+        return timers.back();
+    }
+
+    const TimerWheel::Stats &stats() const
+    {
+        return sim.timerWheel()->stats();
+    }
 };
 
 } // namespace
 
+TEST_F(WheelFixture, ExactGranularityArmsPlainQueueEvents)
+{
+    EXPECT_EQ(sim.timerWheel(), nullptr);
+    Event &a = timer(1);
+    sim.armTimer(a, 10);
+    EXPECT_TRUE(a.scheduled());
+    EXPECT_EQ(a.when(), 10u);
+    sim.armTimer(a, 30); // re-arming moves the one event
+    EXPECT_EQ(a.when(), 30u);
+    Event &b = timer(2);
+    sim.armTimer(b, 20);
+    sim.cancelTimer(b);
+    EXPECT_FALSE(b.scheduled());
+    sim.cancelTimer(b); // disarming an idle timer is a no-op
+    sim.run();
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0], std::make_pair(1, Tick{30}));
+}
+
+TEST_F(WheelFixture, GranularityIsFixedOnceATimerIsArmed)
+{
+    sim.setTimerGranularity(100);
+    sim.setTimerGranularity(0); // still unarmed: may change its mind
+    EXPECT_EQ(sim.timerWheel(), nullptr);
+    sim.armTimer(timer(1), 10);
+    EXPECT_THROW(sim.setTimerGranularity(100), FatalError);
+    sim.run();
+}
+
 TEST_F(WheelFixture, FiresExactlyAtUnitGranularity)
 {
-    TimerWheel wheel(sim, 1);
-    wheel.arm(client, 7, 123);
-    wheel.arm(client, 8, 456);
+    sim.setTimerGranularity(1);
+    sim.armTimer(timer(7), 123);
+    sim.armTimer(timer(8), 456);
     sim.run();
-    ASSERT_EQ(client.fired.size(), 2u);
-    EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{7},
-                                              Tick{123}));
-    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{8},
-                                              Tick{456}));
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[0], std::make_pair(7, Tick{123}));
+    EXPECT_EQ(fired[1], std::make_pair(8, Tick{456}));
     EXPECT_EQ(sim.curTick(), 456u);
 }
 
 TEST_F(WheelFixture, QuantizesDeadlinesUpToBucketBoundaries)
 {
-    TimerWheel wheel(sim, 100);
-    wheel.arm(client, 1, 1);    // -> 100
-    wheel.arm(client, 2, 100);  // already on a boundary
-    wheel.arm(client, 3, 101);  // -> 200
+    sim.setTimerGranularity(100);
+    sim.armTimer(timer(1), 1);   // -> 100
+    sim.armTimer(timer(2), 100); // already on a boundary
+    sim.armTimer(timer(3), 101); // -> 200
     sim.run();
-    ASSERT_EQ(client.fired.size(), 3u);
-    // Tokens 1 and 2 share the 100-tick boundary, in arm order.
-    EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{1},
-                                              Tick{100}));
-    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2},
-                                              Tick{100}));
-    EXPECT_EQ(client.fired[2], std::make_pair(std::uint64_t{3},
-                                              Tick{200}));
+    ASSERT_EQ(fired.size(), 3u);
+    // Timers 1 and 2 share the 100-tick boundary, in arm order.
+    EXPECT_EQ(fired[0], std::make_pair(1, Tick{100}));
+    EXPECT_EQ(fired[1], std::make_pair(2, Tick{100}));
+    EXPECT_EQ(fired[2], std::make_pair(3, Tick{200}));
     // One tick event per occupied boundary, not per timer.
-    EXPECT_EQ(wheel.stats().tickEvents, 2u);
-    EXPECT_EQ(wheel.stats().maxBatch, 2u);
+    EXPECT_EQ(stats().tickEvents, 2u);
+    EXPECT_EQ(stats().maxBatch, 2u);
 }
 
 TEST_F(WheelFixture, NeverFiresEarly)
 {
-    TimerWheel wheel(sim, 64);
+    sim.setTimerGranularity(64);
     sim.runUntil(10); // arm off a non-boundary tick
-    wheel.arm(client, 1, 1);
+    sim.armTimer(timer(1), 1);
     sim.run();
-    ASSERT_EQ(client.fired.size(), 1u);
-    EXPECT_GE(client.fired[0].second, 11u);
-    EXPECT_EQ(client.fired[0].second % 64, 0u);
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_GE(fired[0].second, 11u);
+    EXPECT_EQ(fired[0].second % 64, 0u);
 }
 
 TEST_F(WheelFixture, CancelPreventsFiring)
 {
-    TimerWheel wheel(sim, 1);
-    auto h = wheel.arm(client, 1, 100);
-    EXPECT_TRUE(wheel.pending(h));
-    EXPECT_EQ(wheel.deadline(h), 100u);
-    wheel.cancel(h);
-    EXPECT_FALSE(wheel.pending(h));
-    EXPECT_FALSE(h.valid());
+    sim.setTimerGranularity(1);
+    Event &t = timer(1);
+    sim.armTimer(t, 100);
+    EXPECT_FALSE(t.scheduled()); // on the wheel, not in the queue
+    EXPECT_EQ(t.when(), 100u);
+    EXPECT_EQ(sim.timerWheel()->live(), 1u);
+    sim.cancelTimer(t);
+    sim.cancelTimer(t); // a second cancel is a no-op
     // The wheel descheduled its tick event: nothing left to run.
     EXPECT_FALSE(sim.hasPendingEvents());
     sim.run();
-    EXPECT_TRUE(client.fired.empty());
-    EXPECT_EQ(wheel.stats().cancelled, 1u);
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(stats().cancelled, 1u);
 }
 
-TEST_F(WheelFixture, StaleHandlesAreInert)
+TEST_F(WheelFixture, ReArmMovesTheTimer)
 {
-    TimerWheel wheel(sim, 1);
-    auto h = wheel.arm(client, 1, 10);
-    sim.run(); // fires; h is now stale
-    ASSERT_EQ(client.fired.size(), 1u);
-    EXPECT_FALSE(wheel.pending(h));
-    wheel.cancel(h); // must be a no-op, not kill a reused entry
-    EXPECT_EQ(wheel.stats().cancelled, 0u);
-
-    // The arena entry is recycled; the old handle must not alias it.
-    auto h2 = wheel.arm(client, 2, 20);
-    wheel.cancel(h); // stale again (same idx, older gen)
-    EXPECT_TRUE(wheel.pending(h2));
+    sim.setTimerGranularity(10);
+    Event &t = timer(1);
+    sim.armTimer(t, 50);
+    sim.armTimer(t, 15); // -> 20; the 50 deadline is gone
+    EXPECT_EQ(sim.timerWheel()->live(), 1u);
     sim.run();
-    ASSERT_EQ(client.fired.size(), 2u);
-    EXPECT_EQ(client.fired[1].first, 2u);
-
-    // Default-constructed handles are invalid and safe to cancel.
-    TimerWheel::Handle empty;
-    wheel.cancel(empty);
-    EXPECT_FALSE(wheel.pending(empty));
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0], std::make_pair(1, Tick{20}));
+    EXPECT_EQ(stats().armed, 2u);
+    EXPECT_EQ(stats().cancelled, 1u);
 }
 
 TEST_F(WheelFixture, CancelDuringBatchSuppressesLaterEntries)
 {
     // Two timers on one boundary; the first callback cancels the
     // second before it fires.
-    TimerWheel wheel(sim, 1);
-    struct Canceller : TimerClient {
-        TimerWheel *wheel = nullptr;
-        TimerWheel::Handle *victim = nullptr;
-        int fired = 0;
-
-        void
-        timerFired(std::uint64_t, Tick) override
-        {
-            ++fired;
-            wheel->cancel(*victim);
-        }
-    };
-    Canceller first;
-    auto victim = wheel.arm(client, 9, 50);
-    first.wheel = &wheel;
-    first.victim = &victim;
-    // Arm the canceller second but cancel/re-arm to get seq order:
-    // arm order is firing order, so re-arm the victim after.
-    wheel.cancel(victim);
-    wheel.arm(first, 0, 50);
-    victim = wheel.arm(client, 9, 50);
+    sim.setTimerGranularity(1);
+    Event &victim = timer(9);
+    int first_fired = 0;
+    EventFunctionWrapper first(
+        [&] {
+            ++first_fired;
+            sim.cancelTimer(victim);
+        },
+        "test.canceller");
+    sim.armTimer(first, 50); // arm order is firing order
+    sim.armTimer(victim, 50);
     sim.run();
-    EXPECT_EQ(first.fired, 1);
-    EXPECT_TRUE(client.fired.empty());
+    EXPECT_EQ(first_fired, 1);
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(sim.timerWheel()->live(), 0u);
+}
+
+TEST_F(WheelFixture, CancelDuringBatchLeavesNoPhantomBoundary)
+{
+    // A cancel inside a batch must not leave the fired boundary's
+    // slot looking occupied: a lap later that slot would schedule a
+    // spurious, empty wheel.tick.
+    sim.setTimerGranularity(1);
+    Event &victim = timer(9);
+    EventFunctionWrapper first([&] { sim.cancelTimer(victim); },
+                               "test.canceller");
+    sim.armTimer(first, 50);
+    sim.armTimer(victim, 50);
+    sim.run();
+    ASSERT_EQ(stats().tickEvents, 1u);
+    sim.armTimer(timer(1), 10);   // fires at 60
+    sim.armTimer(timer(2), 2000); // overflow heap, fires at 2050
+    sim.run();
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[1], std::make_pair(2, Tick{2050}));
+    // Boundaries 50, 60 and 2050 -- no tick at 50 + 1024.
+    EXPECT_EQ(stats().tickEvents, 3u);
 }
 
 TEST_F(WheelFixture, ReArmFromCallbackIncludingZeroDelay)
 {
-    TimerWheel wheel(sim, 1);
-    struct Chainer : TimerClient {
-        TimerWheel *wheel = nullptr;
-        std::vector<Tick> fires;
-
-        void
-        timerFired(std::uint64_t token, Tick now) override
-        {
-            fires.push_back(now);
-            if (token == 0 && fires.size() < 3) {
-                // Chain: re-arm with zero delay; must fire at this
-                // very tick (not a full wheel lap later).
-                wheel->arm(*this, 0, 0);
-            } else if (token == 1) {
-                wheel->arm(*this, 2, 25);
-            }
-        }
-    };
-    Chainer c;
-    c.wheel = &wheel;
-    wheel.arm(c, 0, 10);
-    wheel.arm(c, 1, 10);
+    sim.setTimerGranularity(1);
+    std::vector<Tick> fires;
+    EventFunctionWrapper later([&] { fires.push_back(sim.curTick()); },
+                               "test.later");
+    EventFunctionWrapper chain(
+        [&] {
+            fires.push_back(sim.curTick());
+            // Chain: re-arm with zero delay; must fire at this very
+            // tick (not a full wheel lap later).
+            if (fires.size() < 3)
+                sim.armTimer(chain, 0);
+        },
+        "test.chain");
+    EventFunctionWrapper spawner(
+        [&] {
+            fires.push_back(sim.curTick());
+            sim.armTimer(later, 25);
+        },
+        "test.spawner");
+    sim.armTimer(chain, 10);
+    sim.armTimer(spawner, 10);
     sim.run();
-    // Token 0 fires at 10 and chains once more at tick 10 (the
-    // zero-delay re-arm must fire at this tick, not a lap later);
-    // token 1 fires at 10 and schedules token 2 at 35.
-    ASSERT_EQ(c.fires.size(), 4u);
-    EXPECT_EQ(c.fires[0], 10u);
-    EXPECT_EQ(c.fires[1], 10u);
-    EXPECT_EQ(c.fires[2], 10u);
-    EXPECT_EQ(c.fires[3], 35u);
+    // The chain fires at 10 and once more at tick 10; the spawner
+    // fires at 10 and arms the last timer at 35.
+    ASSERT_EQ(fires.size(), 4u);
+    EXPECT_EQ(fires[0], 10u);
+    EXPECT_EQ(fires[1], 10u);
+    EXPECT_EQ(fires[2], 10u);
+    EXPECT_EQ(fires[3], 35u);
     EXPECT_EQ(sim.curTick(), 35u);
 }
 
@@ -194,70 +226,73 @@ TEST_F(WheelFixture, FarDeadlinesParkInOverflowAndMigrateBack)
 {
     TimerWheel wheel(sim, 1, 16); // tiny ring: horizon = 16 ticks
     EXPECT_EQ(wheel.numSlots(), 16u);
-    wheel.arm(client, 1, 5);    // in the ring
-    wheel.arm(client, 2, 1000); // far beyond the horizon
-    wheel.arm(client, 3, 2000); // even farther
+    wheel.arm(timer(1), 5);    // in the ring
+    wheel.arm(timer(2), 1000); // far beyond the horizon
+    wheel.arm(timer(3), 2000); // even farther
     sim.run();
-    ASSERT_EQ(client.fired.size(), 3u);
-    EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{1},
-                                              Tick{5}));
-    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2},
-                                              Tick{1000}));
-    EXPECT_EQ(client.fired[2], std::make_pair(std::uint64_t{3},
-                                              Tick{2000}));
+    ASSERT_EQ(fired.size(), 3u);
+    EXPECT_EQ(fired[0], std::make_pair(1, Tick{5}));
+    EXPECT_EQ(fired[1], std::make_pair(2, Tick{1000}));
+    EXPECT_EQ(fired[2], std::make_pair(3, Tick{2000}));
     EXPECT_GT(wheel.stats().overflowMigrations, 0u);
 }
 
 TEST_F(WheelFixture, CancelWhileParkedInOverflow)
 {
     TimerWheel wheel(sim, 1, 16);
-    wheel.arm(client, 1, 5);
-    auto far = wheel.arm(client, 2, 1000);
+    wheel.arm(timer(1), 5);
+    Event &far = timer(2);
+    wheel.arm(far, 1000);
+    wheel.arm(timer(3), 3000);
     wheel.cancel(far);
     sim.run();
-    ASSERT_EQ(client.fired.size(), 1u);
-    EXPECT_EQ(client.fired[0].first, 1u);
-    EXPECT_EQ(sim.curTick(), 5u); // the parked timer never woke us
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[0].first, 1);
+    EXPECT_EQ(fired[1], std::make_pair(3, Tick{3000}));
     EXPECT_EQ(wheel.live(), 0u);
+    // Removed eagerly: the heap never migrated the cancelled timer.
+    EXPECT_EQ(wheel.stats().overflowMigrations, 1u);
 }
 
 TEST_F(WheelFixture, BatchFiresInArmOrderAcrossClients)
 {
-    TimerWheel wheel(sim, 256); // everything lands on boundary 256
-    RecordingClient other;
-    wheel.arm(client, 0, 10);
-    wheel.arm(other, 1, 20);
-    wheel.arm(client, 2, 30);
-    wheel.arm(other, 3, 40);
+    sim.setTimerGranularity(256); // everything lands on boundary 256
+    // Timers 1 and 3 belong to another owner than the fixture's.
+    EventFunctionWrapper o1(
+        [&] { fired.emplace_back(1, sim.curTick()); }, "other.1");
+    EventFunctionWrapper o3(
+        [&] { fired.emplace_back(3, sim.curTick()); }, "other.3");
+    sim.armTimer(timer(0), 10);
+    sim.armTimer(o1, 40);
+    sim.armTimer(timer(2), 30);
+    sim.armTimer(o3, 20);
     sim.run();
-    ASSERT_EQ(client.fired.size(), 2u);
-    ASSERT_EQ(other.fired.size(), 2u);
-    EXPECT_EQ(client.fired[0].first, 0u);
-    EXPECT_EQ(other.fired[0].first, 1u);
-    EXPECT_EQ(client.fired[1].first, 2u);
-    EXPECT_EQ(other.fired[1].first, 3u);
-    EXPECT_EQ(wheel.stats().tickEvents, 1u);
-    EXPECT_EQ(wheel.stats().maxBatch, 4u);
+    ASSERT_EQ(fired.size(), 4u);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(fired[i], std::make_pair(i, Tick{256}));
+    EXPECT_EQ(stats().tickEvents, 1u);
+    EXPECT_EQ(stats().maxBatch, 4u);
 }
 
 TEST_F(WheelFixture, StatsCountArmCancelFire)
 {
-    TimerWheel wheel(sim, 1);
-    auto a = wheel.arm(client, 0, 10);
-    wheel.arm(client, 1, 20);
-    wheel.arm(client, 2, 30);
-    EXPECT_EQ(wheel.live(), 3u);
-    wheel.cancel(a);
-    EXPECT_EQ(wheel.live(), 2u);
+    sim.setTimerGranularity(1);
+    Event &a = timer(0);
+    sim.armTimer(a, 10);
+    sim.armTimer(timer(1), 20);
+    sim.armTimer(timer(2), 30);
+    EXPECT_EQ(sim.timerWheel()->live(), 3u);
+    sim.cancelTimer(a);
+    EXPECT_EQ(sim.timerWheel()->live(), 2u);
     sim.run();
-    EXPECT_EQ(wheel.live(), 0u);
-    const TimerWheel::Stats &s = wheel.stats();
+    EXPECT_EQ(sim.timerWheel()->live(), 0u);
+    const TimerWheel::Stats &s = stats();
     EXPECT_EQ(s.armed, 3u);
     EXPECT_EQ(s.cancelled, 1u);
     EXPECT_EQ(s.fired, 2u);
     EXPECT_EQ(s.maxLive, 3u);
-    // Three dispatches: cancellation is O(1) and leaves the already
-    // scheduled tick in place, so boundary 10 fires an empty batch.
+    // Three dispatches: cancellation leaves the already scheduled
+    // tick in place, so boundary 10 fires an empty batch.
     EXPECT_EQ(s.tickEvents, 3u);
 }
 
@@ -267,15 +302,14 @@ TEST_F(WheelFixture, EmptyWheelAfterLongIdleGapStaysExact)
     // quiet period is armed, or near deadlines would land in the
     // overflow heap (correct but slow) or worse, a stale slot.
     TimerWheel wheel(sim, 1, 16);
-    wheel.arm(client, 1, 3);
+    wheel.arm(timer(1), 3);
     sim.run();
     EXPECT_EQ(sim.curTick(), 3u);
     sim.runUntil(1'000'000); // idle gap many laps long
-    wheel.arm(client, 2, 4);
+    wheel.arm(timer(2), 4);
     sim.run();
-    ASSERT_EQ(client.fired.size(), 2u);
-    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2},
-                                              Tick{1'000'004}));
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[1], std::make_pair(2, Tick{1'000'004}));
 }
 
 TEST_F(WheelFixture, RejectsZeroGranularity)
@@ -285,7 +319,21 @@ TEST_F(WheelFixture, RejectsZeroGranularity)
 
 TEST_F(WheelFixture, RejectsOverflowingDeadline)
 {
-    TimerWheel wheel(sim, 1);
+    sim.setTimerGranularity(1);
     sim.runUntil(100);
-    EXPECT_THROW(wheel.arm(client, 0, maxTick - 10), FatalError);
+    Event &t = timer(0);
+    EXPECT_THROW(sim.armTimer(t, maxTick - 10), FatalError);
+    EXPECT_EQ(sim.timerWheel()->live(), 0u);
+}
+
+TEST(WheelDeathTest, DestroyingAnArmedTimerPanics)
+{
+    Simulator sim;
+    sim.setTimerGranularity(10);
+    EXPECT_DEATH(
+        {
+            EventFunctionWrapper ev([] {}, "doomed");
+            sim.armTimer(ev, 5);
+        },
+        "on the timer wheel");
 }
