@@ -30,6 +30,7 @@ struct FarmResult {
     double p99Sec = 0.0;
     std::uint64_t jobs = 0;
     double simSeconds = 0.0;
+    std::uint64_t events = 0;
 };
 
 /** Parameters of the canonical single-task-job farm experiment. */
@@ -101,6 +102,7 @@ runFarmWithArrivals(const FarmParams &p, std::vector<Tick> arrivals)
     r.p99Sec = lat.p99();
     r.jobs = dc.scheduler().jobsCompleted();
     r.simSeconds = toSeconds(dc.sim().curTick());
+    r.events = dc.sim().eventsProcessed();
     return r;
 }
 
@@ -141,6 +143,7 @@ runFarm(const FarmParams &p)
     r.p99Sec = lat.p99();
     r.jobs = dc.scheduler().jobsCompleted();
     r.simSeconds = toSeconds(dc.sim().curTick());
+    r.events = dc.sim().eventsProcessed();
     return r;
 }
 

@@ -104,9 +104,6 @@ DataCenterConfig::validate() const
         if (audit.energyTolerance < 0.0)
             fatal("audit.energy_tolerance must be non-negative");
     }
-    if (pdes.enabled())
-        rejectPdes("datacenter.pdes_mode = pods:" +
-                   std::to_string(pdes.partitions));
     if (mc.strategy != "boundary" && mc.strategy != "pairwise" &&
         mc.strategy != "exhaustive" && mc.strategy != "random") {
         fatal("unknown mc.strategy '", mc.strategy, "'");
@@ -141,21 +138,11 @@ DataCenterConfig::fromConfig(const Config &cfg)
         "datacenter.wheel_granularity_us", usec, out.wheelGranularity);
 
     std::string pm = cfg.getString("datacenter.pdes_mode", "off");
-    if (pm == "off") {
-        out.pdes.mode = PdesSettings::Mode::off;
-    } else if (pm.rfind("pods:", 0) == 0) {
-        out.pdes.mode = PdesSettings::Mode::pods;
-        try {
-            out.pdes.partitions =
-                static_cast<unsigned>(std::stoul(pm.substr(5)));
-        } catch (const std::exception &) {
-            fatal("bad datacenter.pdes_mode '", pm,
-                  "' (expected off or pods:N)");
-        }
-    } else {
+    if (pm.rfind("pods:", 0) == 0)
+        rejectPdes("datacenter.pdes_mode = " + pm);
+    if (pm != "off")
         fatal("unknown datacenter.pdes_mode '", pm,
               "' (expected off or pods:N)");
-    }
     if (cfg.has("datacenter.pdes_lookahead_us"))
         rejectPdes("datacenter.pdes_lookahead_us");
 

@@ -66,24 +66,6 @@ struct DataCenterConfig {
     Tick wheelGranularity = 0;
     ///@}
 
-    /** @name Parallel kernel (rejected on DataCenter) */
-    ///@{
-    /**
-     * pdes_mode = pods:N parses into these fields only so validate()
-     * can reject it: DataCenter runs on the sequential kernel, and
-     * partitioned execution exists only in PodCluster.
-     */
-    struct PdesSettings {
-        enum class Mode { off, pods };
-        Mode mode = Mode::off;
-        /** Partition count N of pods:N. */
-        unsigned partitions = 1;
-
-        bool enabled() const { return mode == Mode::pods; }
-    };
-    PdesSettings pdes;
-    ///@}
-
     /** @name Network fabric */
     ///@{
     enum class Fabric { none, star, fatTree, flattenedButterfly,

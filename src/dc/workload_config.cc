@@ -91,6 +91,9 @@ makeWorkload(const Config &cfg, const DataCenterConfig &dc_cfg,
 
     Tick duration = maxTick;
     if (cfg.has("workload.duration_s")) {
+        // Checked like every duration key, but rounded to the nearest
+        // tick where getDuration() truncates.
+        cfg.getDuration("workload.duration_s", sec);
         duration = fromSeconds(cfg.getDouble("workload.duration_s"));
         out.until = duration;
     }

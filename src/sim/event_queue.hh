@@ -18,9 +18,9 @@
  * O(log n) from the heap; no stale entry can ever outlive (and dangle
  * behind) its event object.
  *
- * The pure binary-heap backend is kept selectable so tests and the
- * bench_event_kernel microbenchmark can replay identical traces
- * through both structures and assert identical pop order; ordering is
+ * The pure binary-heap backend is kept selectable as the tests'
+ * reference: they replay identical traces through both structures
+ * and assert identical pop order; ordering is
  * defined solely by the (tick, priority, sequence) key, so the two
  * backends are observationally equivalent by construction.
  */

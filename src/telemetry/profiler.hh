@@ -85,7 +85,7 @@ class KernelProfiler : public KernelProbe
     void dumpHotTable(std::ostream &os) const;
 
     /**
-     * Machine-readable summary (BENCH_kernel.json shape). @p
+     * Machine-readable JSON summary (three_tier --profile). @p
      * wall_seconds is the harness-measured wall time of the run; pass
      * 0 if unknown (events_per_sec is then omitted). When @p queue is
      * non-null its occupancy / spill counters are emitted as an

@@ -107,7 +107,8 @@ TEST(DcConfig, DurationKeysRejectNegativeNonFiniteAndOverflow)
     const Key keys[] = {{"datacenter", "wheel_granularity_us"},
                         {"network", "link_latency_us"},
                         {"server", "tau_ms"},
-                        {"workload", "service_mean_ms"}};
+                        {"workload", "service_mean_ms"},
+                        {"workload", "duration_s"}};
     auto parse = [](const Key &k, const std::string &value) {
         Config cfg = Config::parseString("[" + std::string(k.section) +
                                          "]\n" + k.name + " = " +
@@ -137,6 +138,13 @@ TEST(DcConfig, DurationKeysRejectNegativeNonFiniteAndOverflow)
                   "[server]\ntau_ms = 2.5\n"))
                   .delayTimerTau,
               2'500'000u);
+    // duration_s rounds to the nearest tick; the other keys truncate.
+    DataCenterConfig dc;
+    EXPECT_EQ(makeWorkload(Config::parseString(
+                               "[workload]\nduration_s = 1.5e-9\n"),
+                           dc, 1)
+                  .until,
+              2u);
 }
 
 TEST(DataCenter, WheelGranularityKeyBatchesGovernorTimers)
